@@ -9,29 +9,42 @@ cheap relative to rewriting data (the anti-Trojan-layout argument).
 
 Measured: a selective query (rare signup events) with and without index
 pushdown -- identical answers, splits skipped, bytes scanned, mappers
-spawned -- plus index build and rebuild cost.
+spawned -- plus index build and rebuild cost. The index is the per-hour
+``_index/`` partitions of :mod:`repro.elephanttwin.buildjob`, built on a
+private copy of the bench day (the build writes beside the data).
 """
 
 import pytest
 
 from benchmarks.conftest import report
+from repro.core.event import CLIENT_EVENTS_CATEGORY
 from repro.core.names import EventPattern
-from repro.elephanttwin.index import Indexer, event_name_terms
+from repro.elephanttwin.buildjob import WarehouseIndex, build_day_indexes
 from repro.elephanttwin.inputformat import IndexedEventsLoader
+from repro.hdfs.layout import data_files, hour_dirs_of_day, hour_index_dir
+from repro.hdfs.namenode import HDFS
 from repro.mapreduce.jobtracker import JobTracker
 from repro.pig.loaders import ClientEventsLoader
 from repro.pig.relation import PigServer
+from repro.workload.generator import load_warehouse_day
 
-INDEX_DIR = "/indexes/bench_client_events"
 SELECTIVE = "*:signup:step_confirm:*:*:*"  # very rare events
 MODERATE = "*:query"
 
 
 @pytest.fixture(scope="module")
+def warehouse(workload):
+    fs = HDFS(block_size=16 * 1024)  # as the shared bench warehouse
+    load_warehouse_day(fs, workload, events_per_file=1_000)
+    return fs
+
+
+@pytest.fixture(scope="module")
 def index(warehouse, date):
-    loader = ClientEventsLoader(warehouse, *date)
-    return Indexer(warehouse, event_name_terms).build(
-        loader.input_format(), INDEX_DIR)
+    build_day_indexes(warehouse, *date)
+    return WarehouseIndex.discover(
+        warehouse, hour_dirs_of_day(warehouse, CLIENT_EVENTS_CATEGORY, *date)
+    ).field("event")
 
 
 def _run(warehouse, date, pattern, index=None):
@@ -92,17 +105,19 @@ def test_selectivity_drives_savings(benchmark, warehouse, date, index):
 def test_index_build_and_rebuild(benchmark, warehouse, date):
     """Rebuild-from-scratch is routine ("this has already happened
     several times during the past year")."""
-    loader = ClientEventsLoader(warehouse, *date)
-    indexer = Indexer(warehouse, event_name_terms)
-
     built = benchmark.pedantic(
-        lambda: indexer.rebuild(loader.input_format(), INDEX_DIR),
+        lambda: build_day_indexes(warehouse, *date, force=True),
         rounds=2, iterations=1)
-    data_bytes = warehouse.total_stored_bytes("/logs/client_events")
-    index_bytes = warehouse.total_stored_bytes(INDEX_DIR)
+    hour_dirs = hour_dirs_of_day(warehouse, CLIENT_EVENTS_CATEGORY, *date)
+    assert built.built == hour_dirs
+    data_bytes = sum(warehouse.stored_bytes(path) for directory in hour_dirs
+                     for path in data_files(warehouse, directory))
+    index_bytes = sum(warehouse.total_stored_bytes(hour_index_dir(directory))
+                      for directory in hour_dirs)
+    terms = WarehouseIndex.discover(warehouse, hour_dirs).field("event")
     report("E12 index build", [
-        ("terms", len(built.terms())),
-        ("splits indexed", built.total_splits),
+        ("terms", len(terms.terms())),
+        ("splits indexed", built.splits_indexed),
         ("index bytes / data bytes",
          f"{index_bytes / data_bytes * 100:.1f}%"),
     ])

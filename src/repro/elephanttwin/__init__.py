@@ -12,9 +12,7 @@ from repro.elephanttwin.buildjob import (
     load_hour_partition,
 )
 from repro.elephanttwin.index import (
-    INDEX_FILE,
     BlockIndex,
-    Indexer,
     event_name_terms,
     user_id_terms,
 )
@@ -32,9 +30,7 @@ from repro.elephanttwin.manifest import (
 )
 
 __all__ = [
-    "INDEX_FILE",
     "BlockIndex",
-    "Indexer",
     "event_name_terms",
     "user_id_terms",
     "IndexedEventsLoader",

@@ -13,9 +13,10 @@ A partition is two files under ``.../HH/_index/``:
 - ``manifest.json`` -- the coverage contract: every ``(path, split
   count)`` pair the build scanned (:mod:`repro.elephanttwin.manifest`).
 
-Builds commit by atomic rename of a fully-written ``_index.tmp``; a crash
-at any of the ``elephanttwin.build.*`` fault sites leaves either the old
-partition or no partition -- never a half-written one -- because readers
+Builds commit a fully-written ``_index.tmp`` through
+:func:`repro.hdfs.publish.atomic_publish`; a crash at any of the
+``elephanttwin.build.*`` fault sites leaves either the old partition or
+no partition -- never a half-written one -- because readers
 only consult the committed ``_index/`` directory. Incremental
 maintenance: :func:`build_day_indexes` re-indexes only hours whose
 manifest no longer matches the live data files.
@@ -23,7 +24,7 @@ manifest no longer matches the live data files.
 
 from __future__ import annotations
 
-import posixpath
+import json
 import time
 from collections import Counter as _Counter
 from dataclasses import dataclass, field
@@ -46,22 +47,22 @@ from repro.elephanttwin.manifest import (
     partition_status,
     tmp_index_dir,
 )
-from repro.faults.injector import KIND_CRASH, InjectedCrash, fault_point
+from repro.faults.injector import crash_point
 from repro.hdfs.layout import (
     data_files,
     day_path,
+    hour_dirs_of_day,
     hour_index_dir,
     parse_hour_path,
 )
 from repro.hdfs.namenode import HDFS
+from repro.hdfs.publish import atomic_publish
 from repro.mapreduce.engine import run_job
 from repro.mapreduce.inputformats import FileInputFormat
 from repro.mapreduce.job import MapReduceJob, TaskContext
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_default_registry
 from repro.thriftlike.codegen import ThriftFileFormat
-
-import json
 
 _EVENT_FORMAT = ThriftFileFormat(ClientEvent)
 
@@ -194,13 +195,6 @@ def build_hour_index(fs: HDFS, directory: str,
     return load_hour_partition(fs, directory)
 
 
-def _crash_point(site: str) -> None:
-    """Injectable crash between build steps (``elephanttwin.build.*``)."""
-    rule = fault_point(site)
-    if rule is not None and rule.kind == KIND_CRASH:
-        raise InjectedCrash(f"index build crashed at {site}")
-
-
 def _commit_partition(fs: HDFS, directory: str,
                       postings: Dict[str, Dict[str, List[SplitKey]]],
                       manifest: IndexManifest) -> None:
@@ -211,26 +205,24 @@ def _commit_partition(fs: HDFS, directory: str,
     partition (after the old one is dropped) -- both of which the query
     side treats as must-scan coverage, never silent pruning.
     """
-    tmp = tmp_index_dir(directory)
-    final = hour_index_dir(directory)
-    if fs.exists(tmp):
-        fs.delete(tmp, recursive=True)
-    _crash_point("elephanttwin.build.pre_postings")
-    payload = {
-        name: {term: [list(key) for key in keys]
-               for term, keys in sorted(terms.items())}
-        for name, terms in postings.items()
-    }
-    fs.create(f"{tmp}/{POSTINGS_FILE}",
-              json.dumps(payload, sort_keys=True).encode("utf-8"),
-              overwrite=True)
-    _crash_point("elephanttwin.build.pre_manifest")
-    fs.create(f"{tmp}/{MANIFEST_FILE}", manifest.to_bytes(), overwrite=True)
-    _crash_point("elephanttwin.build.pre_commit")
-    if fs.exists(final):
-        fs.delete(final, recursive=True)
-    _crash_point("elephanttwin.build.pre_rename")
-    fs.rename(tmp, final)
+    def write_partition(tmp: str) -> None:
+        crash_point("elephanttwin.build.pre_postings")
+        payload = {
+            name: {term: [list(key) for key in keys]
+                   for term, keys in sorted(terms.items())}
+            for name, terms in postings.items()
+        }
+        fs.create(f"{tmp}/{POSTINGS_FILE}",
+                  json.dumps(payload, sort_keys=True).encode("utf-8"),
+                  overwrite=True)
+        crash_point("elephanttwin.build.pre_manifest")
+        fs.create(f"{tmp}/{MANIFEST_FILE}", manifest.to_bytes(),
+                  overwrite=True)
+
+    atomic_publish(fs, tmp_index_dir(directory), hour_index_dir(directory),
+                   write_partition,
+                   pre_delete="elephanttwin.build.pre_commit",
+                   pre_rename="elephanttwin.build.pre_rename")
 
 
 def load_hour_partition(fs: HDFS, directory: str) -> Optional[HourPartition]:
@@ -306,13 +298,6 @@ class WarehouseIndex:
             total += partition.manifest.total_splits
         return BlockIndex(postings=postings, total_splits=total,
                           covered=covered)
-
-
-def hour_dirs_of_day(fs: HDFS, category: str, year: int, month: int,
-                     day: int) -> List[str]:
-    """Hour directories of one day that hold data files."""
-    return sorted({posixpath.dirname(path) for path in
-                   data_files(fs, day_path(category, year, month, day))})
 
 
 def build_day_indexes(fs: HDFS, year: int, month: int, day: int,

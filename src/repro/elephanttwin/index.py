@@ -7,25 +7,18 @@ alongside the data (in contrast to Trojan layouts), and therefore
 re-indexing large amounts of data is feasible."
 
 The index maps terms to the input splits that contain them. Terms are
-produced by a pluggable extractor (for client events: the event name),
-and the index is stored as a JSON file *alongside* the data directory --
-dropping and rebuilding it never rewrites the data, which is the paper's
-argument against Trojan layouts.
+produced by pluggable extractors (for client events: the event name and
+the user id), and the index is stored *alongside* the data directory it
+covers -- dropping and rebuilding it never rewrites the data, which is
+the paper's argument against Trojan layouts. The build is a MapReduce
+job per hour directory: :mod:`repro.elephanttwin.buildjob`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
-
-from repro.hdfs.namenode import HDFS
-from repro.mapreduce.inputformats import FileInputFormat
-
-TermExtractor = Callable[[Any], Iterable[str]]
-
-INDEX_FILE = "_index.json"
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 SplitKey = Tuple[str, int]  # (path, split index)
 
@@ -50,8 +43,6 @@ class BlockIndex:
     (must scan): a path absent from ``covered``, or whose live split
     count no longer matches the recorded one (the file grew blocks, so
     every split's record range shifted), falls back to a full scan.
-    Indexes deserialized from the legacy payload have an empty coverage
-    map and therefore prune nothing -- stale-safe by construction.
     """
 
     postings: Dict[str, Set[SplitKey]]
@@ -88,7 +79,7 @@ class BlockIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BlockIndex":
-        """Inverse of :meth:`to_bytes` (legacy payloads: no coverage)."""
+        """Inverse of :meth:`to_bytes`."""
         payload = json.loads(data.decode("utf-8"))
         postings = {
             term: {(path, index) for path, index in keys}
@@ -98,47 +89,3 @@ class BlockIndex:
                    covered={path: int(count) for path, count in
                             payload.get("covered", {}).items()})
 
-
-class Indexer:
-    """The indexing job: scans splits, extracts terms, writes the index.
-
-    "as our text processing libraries improve ... we drop all indexes and
-    rebuild from scratch" -- :meth:`rebuild` is exactly that."""
-
-    def __init__(self, fs: HDFS, extractor: TermExtractor) -> None:
-        self._fs = fs
-        self._extractor = extractor
-
-    def build(self, input_format: FileInputFormat,
-              directory: str) -> BlockIndex:
-        """Index every split of ``input_format``; store under ``directory``."""
-        postings: Dict[str, Set[SplitKey]] = defaultdict(set)
-        covered: Dict[str, int] = defaultdict(int)
-        splits = input_format.splits()
-        for split in splits:
-            key = (split.path, split.index)
-            covered[split.path] += 1
-            for record in input_format.read_split(split):
-                for term in self._extractor(record):
-                    postings[term].add(key)
-        index = BlockIndex(postings=dict(postings),
-                           total_splits=len(splits),
-                           covered=dict(covered))
-        self._fs.create(f"{directory}/{INDEX_FILE}", index.to_bytes(),
-                        overwrite=True)
-        return index
-
-    def rebuild(self, input_format: FileInputFormat,
-                directory: str) -> BlockIndex:
-        """Drop and rebuild (same as build; kept for intent)."""
-        path = f"{directory}/{INDEX_FILE}"
-        if self._fs.is_file(path):
-            self._fs.delete(path)
-        return self.build(input_format, directory)
-
-    @staticmethod
-    def load(fs: HDFS, directory: str) -> BlockIndex:
-        """Read a stored index back from ``directory``."""
-        return BlockIndex.from_bytes(
-            fs.open_bytes(f"{directory}/{INDEX_FILE}")
-        )

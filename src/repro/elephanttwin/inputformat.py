@@ -20,7 +20,7 @@ is fresh.
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.elephanttwin.index import BlockIndex
 from repro.mapreduce.inputformats import FileInputFormat, InputSplit
@@ -149,14 +149,3 @@ class IndexedEventsLoader:
                                   self._index, self._terms,
                                   field=self._field)
 
-
-def indexed_format_over(fs: Any, paths: Iterable[str], decode: Any,
-                        index: BlockIndex, terms: Iterable[str],
-                        field: str = "event",
-                        ) -> Optional[IndexedInputFormat]:
-    """Convenience: an :class:`IndexedInputFormat` over explicit paths."""
-    paths = list(paths)
-    if not paths:
-        return None
-    return IndexedInputFormat(FileInputFormat(fs, paths, decode), index,
-                              terms, field=field)

@@ -58,10 +58,6 @@ class IndexManifest:
         """True when split ``index`` of ``path`` is inside the manifest."""
         return index < self.files.get(path, 0)
 
-    def has_field(self, name: str) -> bool:
-        """True when the partition indexed terms for ``name``."""
-        return name in self.fields
-
     # -- persistence ----------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize for storage inside the ``_index/`` directory."""
@@ -121,15 +117,6 @@ def load_manifest(fs: HDFS, directory: str) -> "IndexManifest | None":
     if not fs.is_file(path):
         return None
     return IndexManifest.from_bytes(fs.open_bytes(path))
-
-
-def merge_file_coverage(manifests: Iterable[IndexManifest]) -> Dict[str, int]:
-    """Union of several partitions' ``files`` maps (disjoint by layout:
-    each partition covers one directory's files)."""
-    merged: Dict[str, int] = {}
-    for manifest in manifests:
-        merged.update(manifest.files)
-    return merged
 
 
 def tmp_index_dir(directory: str) -> str:

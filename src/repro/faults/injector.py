@@ -192,3 +192,20 @@ def fault_point(site: str) -> Optional[FaultRule]:
     if injector is None:
         return None
     return injector.check(site)
+
+
+def crash_point(site: str) -> None:
+    """Die mid-operation if a crash fault is armed at ``site``: the one
+    definition of a crash window, shared by every publisher.
+
+    A log-mover crash (a ``logmover.*`` site) is counted, labelled by
+    site, *before* raising -- a crashed process cannot report its own
+    death afterward, and the monitor's ``mover_crash`` alert keys off
+    ``logmover_crashes_total``.
+    """
+    rule = fault_point(site)
+    if rule is not None and rule.kind == KIND_CRASH:
+        if site.startswith("logmover."):
+            get_default_registry().counter(obs_names.MOVER_CRASHES,
+                                           site=site).inc()
+        raise InjectedCrash(f"injected crash at {site}")

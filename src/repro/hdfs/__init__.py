@@ -11,6 +11,7 @@ from repro.hdfs.namenode import (
     HDFSUnavailableError,
     normalize,
 )
+from repro.hdfs.publish import atomic_publish
 from repro.hdfs.sharded import CrossShardRenameError, ShardedHDFS, shard_key
 from repro.hdfs.layout import (
     LOGS_ROOT,
@@ -38,6 +39,7 @@ __all__ = [
     "HDFSError",
     "HDFSUnavailableError",
     "normalize",
+    "atomic_publish",
     "CrossShardRenameError",
     "ShardedHDFS",
     "shard_key",

@@ -151,6 +151,13 @@ def data_files(fs, directory: str) -> List[str]:
             if not is_index_path(p) and not is_columnar_path(p)]
 
 
+def hour_dirs_of_day(fs, category: str, year: int, month: int,
+                     day: int) -> List[str]:
+    """Hour directories of one day that hold raw data files."""
+    return sorted({path.rsplit("/", 1)[0] for path in
+                   data_files(fs, day_path(category, year, month, day))})
+
+
 def hour_index_dir(hour_path: str) -> str:
     """The ``_index`` directory of one per-hour data directory."""
     return f"{hour_path}/{INDEX_SUBDIR}"

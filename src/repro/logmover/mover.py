@@ -9,95 +9,49 @@ given log category have transferred their logs. Once all of this is done,
 the log mover pipeline atomically slides an hour's worth of logs into the
 main data warehouse."
 
-The atomic slide is implemented by writing merged files into a hidden
-``/_incoming`` directory and renaming the whole per-hour directory into
-``/logs/<category>/...`` in one namespace operation.
-
-Exactly-once hardening: staged frames may carry a delivery envelope
-(origin host + per-daemon sequence number, see
-:mod:`repro.scribe.message`). The mover strips envelopes before writing
-to the warehouse -- analytics readers see raw messages, unchanged -- and
-dedups on the ``(origin, seq)`` identity, so aggregator WAL replays and
-lost-ack resends land exactly once even when the duplicate shows up in a
-different hour. ``move_hour`` is also *idempotent*: it clears any
-half-written ``/_incoming`` debris from a previous crashed run, updates
-its dedup ledger only after staged inputs are deleted (the commit
-point), and -- given a :class:`~repro.faults.retry.RetryPolicy` --
-retries through staging-HDFS outages with backoff. Crash windows between
-the delete/rename and rename/cleanup steps are exposed as fault sites
-``logmover.<category>.pre_rename`` / ``.pre_cleanup`` so tests can prove
-a re-run converges.
+:class:`LogMover` is the *hourly policy* over the shared
+:class:`~repro.logmover.landing.LandingCore`, which owns every step:
+wait for the completeness barrier, collect from every producing
+datacenter, publish the hour. ``move_hour`` is *idempotent*: the publish
+clears ``/_incoming`` debris of a crashed run, the dedup ledger is
+updated only after staged inputs are deleted (the commit point), and --
+given a :class:`~repro.faults.retry.RetryPolicy` -- the move retries
+through HDFS outages with backoff. The crash windows around the rename
+are fault sites ``logmover.<category>.pre_rename`` / ``.pre_cleanup`` so
+tests can prove a re-run converges.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 from repro.clock import LogicalClock
-from repro.faults.injector import KIND_CRASH, InjectedCrash, fault_point
+from repro.faults.injector import crash_point
 from repro.faults.retry import RetryPolicy
-from repro.hdfs.layout import (
-    LOGS_ROOT,
-    LogHour,
-    quarantine_path,
-    staging_path,
-)
+from repro.hdfs.layout import LOGS_ROOT, LogHour
 from repro.hdfs.namenode import HDFS, HDFSUnavailableError
-from repro.logmover.checks import DEFAULT_CHECKS, SanityCheck, SanityCheckError
+from repro.logmover.checks import SanityCheck
+from repro.logmover.landing import (  # noqa: F401 - re-exported names
+    INCOMING_ROOT,
+    LandingCore,
+    MessageIdentity,
+    MoveResult,
+)
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_default_registry
-from repro.obs.trace import get_default_tracer
-from repro.scribe.aggregator import decode_messages, encode_messages
-from repro.scribe.message import decode_envelope
-
-logger = logging.getLogger(__name__)
-
-INCOMING_ROOT = "/_incoming"
-
-#: The ``(origin host, sequence number)`` identity the mover dedups on.
-MessageIdentity = Tuple[str, int]
 
 
 class IncompleteHourError(Exception):
     """Raised when a producing datacenter has not yet transferred its logs."""
 
 
-@dataclass
-class MoveResult:
-    """Outcome of moving one hour of one category."""
-
-    hour: LogHour
-    messages_moved: int
-    input_files: int
-    output_files: int
-    quarantined: List[Tuple[str, str]] = field(default_factory=list)
-    quarantined_messages: int = 0
-    #: Warehouse paths the quarantined staging files were preserved at
-    #: (parallel to ``quarantined``), so operators can inspect/replay.
-    quarantined_to: List[str] = field(default_factory=list)
-    duplicates_skipped: int = 0
-    #: Logical instant the hour was published (None for clock-less movers).
-    #: The data-quality auditor derives per-hour freshness lag from it.
-    moved_at_ms: Optional[int] = None
-
-    @property
-    def merge_ratio(self) -> float:
-        """Input files per output file (the small-file merge factor)."""
-        if self.output_files == 0:
-            return 0.0
-        return self.input_files / self.output_files
-
-
-class LogMover:
+class LogMover(LandingCore):
     """Moves per-hour log directories from staging clusters to the warehouse.
 
-    ``producers`` maps each category to the datacenters that produce it;
-    categories not listed are assumed to be produced by every datacenter.
-    ``retry_policy`` makes :meth:`move_hour` ride through staging/warehouse
-    outages (``HDFSUnavailableError``) with bounded backoff on the logical
-    clock instead of failing the hour outright.
+    ``retry_policy`` makes :meth:`move_hour` ride through HDFS outages
+    (``HDFSUnavailableError``) with bounded backoff on the logical clock;
+    the other arguments are :class:`~repro.logmover.landing.LandingCore`'s.
     """
 
     def __init__(self, staging_clusters: Dict[str, HDFS], warehouse: HDFS,
@@ -108,46 +62,19 @@ class LogMover:
                  clock: Optional[LogicalClock] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  columnar_categories: Optional[Sequence[str]] = None) -> None:
-        if not staging_clusters:
-            raise ValueError("need at least one staging cluster")
-        self._staging = dict(staging_clusters)
-        self._warehouse = warehouse
-        self._producers = dict(producers or {})
-        self._checks = list(DEFAULT_CHECKS if checks is None else checks)
-        self._target_file_bytes = target_file_bytes
-        self._codec = codec
-        # Timestamps trace spans and the end-to-end latency histogram;
-        # without a clock, spans fall back to each trace's latest time.
-        self._clock = clock
+        super().__init__(staging_clusters, warehouse, producers, checks,
+                         target_file_bytes, codec, clock,
+                         columnar_categories)
         self._retry_policy = retry_policy
-        # Categories whose hours get a columnar segment written beside
-        # the raw files right after the atomic slide. Raw files remain
-        # authoritative; a segment that fails to build is skipped with a
-        # warning and the hour serves row-at-a-time scans as before.
-        self._columnar_categories = frozenset(columnar_categories or ())
-        # Committed (origin, seq) identities per hour. An identity enters
-        # the ledger only once its staged inputs are deleted, so a crash
-        # anywhere before that point leaves the ledger describing exactly
-        # what a re-run may treat as already landed.
-        self._landed_seqs: Dict[LogHour, Set[MessageIdentity]] = {}
-        self.moves: List[MoveResult] = []
 
     # -- completeness barrier -------------------------------------------
-    def producing_datacenters(self, category: str) -> List[str]:
-        """Datacenters expected to stage data for a category."""
-        declared = self._producers.get(category)
-        if declared is not None:
-            return sorted(declared)
-        return sorted(self._staging)
+    def _missing_datacenters(self, hour: LogHour) -> List[str]:
+        return [dc for dc in self.producing_datacenters(hour.category)
+                if not self.staged_files(dc, hour)]
 
     def hour_ready(self, hour: LogHour) -> bool:
         """True when every producing datacenter has staged data for ``hour``."""
-        for datacenter in self.producing_datacenters(hour.category):
-            staging = self._staging[datacenter]
-            directory = staging_path(datacenter, hour)
-            if not staging.glob_files(directory):
-                return False
-        return True
+        return not self._missing_datacenters(hour)
 
     def hour_has_data(self, hour: LogHour) -> bool:
         """True when at least one datacenter has staged data for ``hour``.
@@ -157,37 +84,17 @@ class LogMover:
         deadline, then move whatever :meth:`hour_has_data` shows with
         ``require_complete=False``.
         """
-        return any(
-            self._staging[dc].glob_files(staging_path(dc, hour))
-            for dc in self.producing_datacenters(hour.category)
-        )
-
-    # -- delivery ledger -------------------------------------------------
-    def landed_identities(
-            self, hour: Optional[LogHour] = None) -> FrozenSet[MessageIdentity]:
-        """Committed ``(origin, seq)`` identities, for one hour or all.
-
-        This is the audit surface the chaos soak checks conservation
-        against: every identity a daemon accepted must be here, dropped
-        at the daemon, or quarantined -- exactly once.
-        """
-        if hour is not None:
-            return frozenset(self._landed_seqs.get(hour, set()))
-        out: Set[MessageIdentity] = set()
-        for identities in self._landed_seqs.values():
-            out |= identities
-        return frozenset(out)
+        return any(self.staged_files(dc, hour)
+                   for dc in self.producing_datacenters(hour.category))
 
     # -- the move ----------------------------------------------------------
     def move_hour(self, hour: LogHour, require_complete: bool = True,
                   delete_staged: bool = True) -> MoveResult:
-        """Merge, check, dedup, and atomically publish one hour.
-
-        With a retry policy, transient ``HDFSUnavailableError`` from
-        staging or warehouse is retried with backoff; the single-attempt
-        body is idempotent, so a retry after a partial failure converges.
-        """
-        attempt = self._attempt_once(hour, require_complete, delete_staged)
+        """Merge, check, dedup, and atomically publish one hour; with a
+        retry policy, through transient ``HDFSUnavailableError`` -- the
+        single-attempt body is idempotent, so a retry converges."""
+        attempt = partial(self._move_hour_once, hour, require_complete,
+                          delete_staged)
         if self._retry_policy is None:
             return attempt()
         return self._retry_policy.call(
@@ -197,260 +104,46 @@ class LogMover:
             retry_on=(HDFSUnavailableError,),
         )
 
-    def _attempt_once(self, hour: LogHour, require_complete: bool,
-                      delete_staged: bool) -> Callable[[], MoveResult]:
-        """Bind one move attempt as a thunk for the retry policy."""
-        def attempt() -> MoveResult:
-            return self._move_hour_once(hour, require_complete, delete_staged)
-        return attempt
-
     def _move_hour_once(self, hour: LogHour, require_complete: bool,
                         delete_staged: bool) -> MoveResult:
         """One complete move attempt (the body of :meth:`move_hour`)."""
-        if require_complete and not self.hour_ready(hour):
-            missing = [
-                dc for dc in self.producing_datacenters(hour.category)
-                if not self._staging[dc].glob_files(staging_path(dc, hour))
-            ]
-            raise IncompleteHourError(
-                f"{hour} not transferred by datacenters: {missing}"
-            )
+        if require_complete:
+            missing = self._missing_datacenters(hour)
+            if missing:
+                raise IncompleteHourError(
+                    f"{hour} not transferred by datacenters: {missing}")
 
-        registry = get_default_registry()
-        tracer = get_default_tracer()
-        messages: List[bytes] = []
-        quarantined: List[Tuple[str, str]] = []
-        quarantined_to: List[str] = []
-        quarantined_messages = 0
-        # Per-attempt accumulators: counters flush to the registry only
-        # once the attempt succeeds, so a RetryPolicy retry after a
-        # failure at the rename step cannot recount the aborted
-        # attempt's duplicates and quarantines.
-        duplicates_skipped = 0
-        check_failures: Dict[str, int] = {}
-        input_files = 0
-        bytes_moved = 0
-        landed_ids: List[str] = []
-        staged_paths: List[Tuple[str, str]] = []
-        # Identities committed by OTHER hours: a resend that slipped past
-        # an hour boundary must not land twice. This hour's own ledger is
-        # deliberately excluded -- a re-move rebuilds the hour from
-        # scratch (replace semantics), so its previous commit must not
-        # suppress the rebuild.
-        landed_elsewhere: Set[MessageIdentity] = set()
-        for other_hour, identities in self._landed_seqs.items():
-            if other_hour != hour:
-                landed_elsewhere |= identities
-        seen: Set[MessageIdentity] = set()
-        hour_identities: Set[MessageIdentity] = set()
-        for datacenter in self.producing_datacenters(hour.category):
-            staging = self._staging[datacenter]
-            for path in staging.glob_files(staging_path(datacenter, hour)):
-                input_files += 1
-                staged_paths.append((datacenter, path))
-                raw = staging.open_bytes(path)
-                file_frames = decode_messages(raw)
-                file_ids = tracer.ids_for_path(path)
-                try:
-                    for check in self._checks:
-                        check(path, file_frames)
-                except SanityCheckError as exc:
-                    quarantined.append((exc.path, exc.reason))
-                    quarantined_to.append(
-                        self._preserve_quarantined(datacenter, path, raw,
-                                                   hour))
-                    quarantined_messages += len(file_frames)
-                    check_failures[datacenter] = \
-                        check_failures.get(datacenter, 0) + 1
-                    for trace_id in file_ids:
-                        tracer.record(trace_id,
-                                      obs_names.SPAN_MOVER_QUARANTINE,
-                                      self._trace_now(tracer, trace_id),
-                                      path=path, reason=exc.reason)
-                    continue
-                for frame in file_frames:
-                    origin, seq, payload = decode_envelope(frame)
-                    if origin is not None:
-                        identity = (origin, seq)
-                        if identity in seen or identity in landed_elsewhere:
-                            duplicates_skipped += 1
-                            continue
-                        seen.add(identity)
-                        hour_identities.add(identity)
-                    messages.append(payload)
-                    bytes_moved += len(payload)
-                for trace_id in file_ids:
-                    tracer.record(trace_id, obs_names.SPAN_MOVER_DEMUX,
-                                  self._trace_now(tracer, trace_id),
-                                  path=path, datacenter=datacenter)
-                landed_ids.extend(file_ids)
-
-        # Merge many small files into a few big ones, then slide
-        # atomically. Debris from a previous crashed attempt is cleared
-        # first so the re-run starts from a clean incoming directory.
-        incoming_dir = hour.path(root=INCOMING_ROOT)
-        if self._warehouse.exists(incoming_dir):
-            self._warehouse.delete(incoming_dir, recursive=True)
-        file_counts = self._write_merged(incoming_dir, messages)
-        output_files = len(file_counts)
-        final_dir = hour.path(root=LOGS_ROOT)
-        if self._warehouse.exists(final_dir):
-            self._warehouse.delete(final_dir, recursive=True)
-        self._crash_point(f"logmover.{hour.category}.pre_rename")
-        self._warehouse.rename(incoming_dir, final_dir)
-        self._crash_point(f"logmover.{hour.category}.pre_cleanup")
-        self._record_landed(hour, final_dir, landed_ids)
-        if hour.category in self._columnar_categories and messages:
-            self._build_segment(hour, final_dir, messages, file_counts)
+        got = self.collect(hour, self.producing_datacenters(hour.category),
+                           replaces_hour=True)
+        file_counts = self.publish_hour(
+            hour, got.messages,
+            pre_rename=f"logmover.{hour.category}.pre_rename")
+        crash_point(f"logmover.{hour.category}.pre_cleanup")
+        self.record_landed(got, hour.path(root=LOGS_ROOT))
+        self.build_segment(hour, got.messages, file_counts)
 
         if delete_staged:
-            for datacenter, path in staged_paths:
-                self._staging[datacenter].delete(path)
+            self.delete_staged(got)
             # Commit point: inputs are gone, so the landed identities are
             # durable facts a future hour's dedup may rely on.
-            self._landed_seqs[hour] = hour_identities
+            self._landed[hour] = got.identities
 
-        result = MoveResult(hour=hour, messages_moved=len(messages),
-                            input_files=input_files,
-                            output_files=output_files,
-                            quarantined=quarantined,
-                            quarantined_messages=quarantined_messages,
-                            quarantined_to=quarantined_to,
-                            duplicates_skipped=duplicates_skipped,
-                            moved_at_ms=(self._clock.now()
-                                         if self._clock is not None
-                                         else None))
-        if duplicates_skipped:
-            registry.counter(obs_names.MOVER_DUPLICATES_SKIPPED,
-                             category=hour.category).inc(duplicates_skipped)
-        for datacenter, failures in sorted(check_failures.items()):
-            registry.counter(obs_names.MOVER_CHECK_FAILURES,
-                             datacenter=datacenter,
-                             category=hour.category).inc(failures)
-        if quarantined_to:
-            registry.counter(obs_names.MOVER_QUARANTINED_FILES,
-                             category=hour.category).inc(len(quarantined_to))
+        # Accounting flushes only once the attempt succeeds, so a
+        # RetryPolicy retry after a failure at the rename step cannot
+        # recount the aborted attempt's duplicates and quarantines.
+        result = MoveResult(hour=hour, messages_moved=0, input_files=0,
+                            output_files=len(file_counts))
+        self.account_published(got, result)
+        self.account_consumed(got, result)
+        registry = get_default_registry()
         registry.counter(obs_names.MOVER_HOURS_MOVED,
                          category=hour.category).inc()
-        registry.counter(obs_names.MOVER_FILES_MOVED,
-                         category=hour.category).inc(input_files)
         registry.counter(obs_names.MOVER_FILES_WRITTEN,
-                         category=hour.category).inc(output_files)
-        registry.counter(obs_names.MOVER_MESSAGES_MOVED,
-                         category=hour.category).inc(len(messages))
-        registry.counter(obs_names.MOVER_BYTES_MOVED,
-                         category=hour.category).inc(bytes_moved)
+                         category=hour.category).inc(len(file_counts))
         self.moves.append(result)
         return result
 
     def move_ready_hours(self, hours: Sequence[LogHour]) -> List[MoveResult]:
         """Move every hour in ``hours`` whose barrier is satisfied."""
-        results = []
-        for hour in hours:
-            if self.hour_ready(hour):
-                results.append(self.move_hour(hour))
-        return results
-
-    # -- internals ---------------------------------------------------------
-    @staticmethod
-    def _crash_point(site: str) -> None:
-        """Die mid-move if a crash fault is armed at ``site``.
-
-        The crash is counted (``logmover_crashes_total``) *before*
-        raising: a crashed process can't report its own death afterward,
-        and the monitor's ``mover_crash`` alert keys off this counter.
-        """
-        rule = fault_point(site)
-        if rule is not None and rule.kind == KIND_CRASH:
-            get_default_registry().counter(obs_names.MOVER_CRASHES,
-                                           site=site).inc()
-            raise InjectedCrash(f"log mover crashed at {site}")
-
-    def _preserve_quarantined(self, datacenter: str, path: str,
-                              raw: bytes, hour: LogHour) -> str:
-        """Copy one quarantined staging file into the warehouse.
-
-        Quarantine is an accounted *sink*, not a loss: the staged bytes
-        survive at ``/quarantine/<category>/<hour>/<dc>-<name>`` after
-        staged cleanup, recoverable byte-for-byte for operators to
-        inspect and replay. ``overwrite=True`` keeps the copy idempotent
-        -- a retry or re-move of the hour re-preserves the same file.
-        """
-        filename = path.rsplit("/", 1)[-1]
-        dest = quarantine_path(datacenter, hour, filename)
-        self._warehouse.create(dest, raw, codec=self._codec, overwrite=True)
-        return dest
-
-    def _trace_now(self, tracer, trace_id: str) -> int:
-        """Span timestamp: the mover's clock, else the trace's latest time.
-
-        A clock-less mover (unit tests moving synthetic files) still
-        produces well-ordered traces; it just contributes zero latency.
-        """
-        if self._clock is not None:
-            return self._clock.now()
-        spans = tracer.spans(trace_id)
-        return max((s.end_ms for s in spans), default=0)
-
-    def _record_landed(self, hour: LogHour, final_dir: str,
-                       trace_ids: List[str]) -> None:
-        """Close out traces at the atomic slide and observe latency."""
-        tracer = get_default_tracer()
-        registry = get_default_registry()
-        for trace_id in trace_ids:
-            now = self._trace_now(tracer, trace_id)
-            tracer.record(trace_id, obs_names.SPAN_WAREHOUSE_LAND, now,
-                          directory=final_dir)
-            latency = tracer.end_to_end_ms(trace_id)
-            if latency is not None:
-                registry.histogram(
-                    obs_names.PIPELINE_DELIVERY_LATENCY,
-                    category=hour.category).observe(latency)
-
-    def _write_merged(self, directory: str,
-                      messages: List[bytes]) -> List[int]:
-        """Write messages as a small number of large framed files.
-
-        Returns the per-file message counts (in ``part-NNNNN`` order) so
-        the segment builder can record which rows each raw file holds.
-        """
-        self._warehouse.mkdirs(directory)
-        if not messages:
-            return []
-        chunks: List[List[bytes]] = [[]]
-        size = 0
-        for message in messages:
-            if size >= self._target_file_bytes and chunks[-1]:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(message)
-            size += len(message)
-        for i, chunk in enumerate(chunks):
-            path = f"{directory}/part-{i:05d}"
-            self._warehouse.create(path, encode_messages(chunk),
-                                   codec=self._codec)
-        return [len(chunk) for chunk in chunks]
-
-    def _build_segment(self, hour: LogHour, final_dir: str,
-                       messages: List[bytes],
-                       file_counts: List[int]) -> None:
-        """Compact the just-published hour into a columnar segment.
-
-        Runs after the atomic slide, so a crash here (or a decode
-        failure on a non-client-event payload) leaves the published raw
-        hour intact and merely without a segment; a re-move or the Oink
-        compaction job rebuilds it.
-        """
-        from repro.core.event import ClientEvent
-        from repro.warehouse.segment import write_hour_segment
-
-        try:
-            events = [ClientEvent.from_bytes(m) for m in messages]
-        except Exception as exc:
-            logger.warning("columnar segment skipped for %s: %s", hour, exc)
-            return
-        sources = [(f"{final_dir}/part-{i:05d}", count)
-                   for i, count in enumerate(file_counts)]
-        write_hour_segment(self._warehouse, final_dir, events, sources,
-                           built_at_ms=(self._clock.now()
-                                        if self._clock is not None else 0))
+        return [self.move_hour(hour) for hour in hours
+                if self.hour_ready(hour)]

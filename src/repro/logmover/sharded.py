@@ -105,11 +105,7 @@ class ShardedLogMover:
     def move_hour(self, hour: LogHour, require_complete: bool = True,
                   delete_staged: bool = True) -> MoveResult:
         """Move one hour on its owning shard's mover."""
-        result = self.mover_for(hour.category).move_hour(
-            hour, require_complete=require_complete,
-            delete_staged=delete_staged)
-        self._record_shard_metrics([result])
-        return result
+        return self.move_hours([hour], require_complete, delete_staged)[0]
 
     def landed_identities(
             self,
@@ -117,10 +113,8 @@ class ShardedLogMover:
         """Committed identities: one hour's shard, or all shards."""
         if hour is not None:
             return self.mover_for(hour.category).landed_identities(hour)
-        out: Set[MessageIdentity] = set()
-        for mover in self._movers:
-            out |= mover.landed_identities()
-        return frozenset(out)
+        return frozenset().union(
+            *(mover.landed_identities() for mover in self._movers))
 
     @property
     def moves(self) -> List[MoveResult]:
@@ -131,10 +125,8 @@ class ShardedLogMover:
         reporting; per-shard chronology is preserved within equal hours
         by the underlying lists.
         """
-        out: List[MoveResult] = []
-        for mover in self._movers:
-            out.extend(mover.moves)
-        return sorted(out, key=lambda r: r.hour)
+        return sorted((result for mover in self._movers
+                       for result in mover.moves), key=lambda r: r.hour)
 
     # -- the parallel fan-out ------------------------------------------
     def move_hours(self, hours: Sequence[LogHour],
@@ -155,31 +147,21 @@ class ShardedLogMover:
 
         def run_group(shard: int) -> List[MoveResult]:
             mover = self._movers[shard]
-            return [mover.move_hour(hour,
-                                    require_complete=require_complete,
-                                    delete_staged=delete_staged)
+            return [mover.move_hour(hour, require_complete, delete_staged)
                     for hour in groups[shard]]
 
-        results: List[MoveResult] = []
-        if self._backend == "serial" or len(groups) <= 1:
-            for shard in sorted(groups):
-                results.extend(run_group(shard))
+        shards = sorted(groups)
+        if self._backend == "serial" or len(shards) <= 1:
+            done = [run_group(shard) for shard in shards]
         else:
-            workers = min(self._max_workers, len(groups))
+            # Leaving the pool waits for every group, so the first failure
+            # (in shard order) surfaces only after all of them finished.
             with ThreadPoolExecutor(
-                    max_workers=workers,
+                    max_workers=min(self._max_workers, len(shards)),
                     thread_name_prefix="shard-mover") as pool:
-                futures = {shard: pool.submit(run_group, shard)
-                           for shard in sorted(groups)}
-                error: Optional[BaseException] = None
-                for shard in sorted(futures):
-                    try:
-                        results.extend(futures[shard].result())
-                    except BaseException as exc:  # noqa: BLE001 - re-raised
-                        if error is None:
-                            error = exc
-                if error is not None:
-                    raise error
+                futures = [pool.submit(run_group, shard) for shard in shards]
+            done = [future.result() for future in futures]
+        results = [result for group in done for result in group]
         self._record_shard_metrics(results)
         return sorted(results, key=lambda r: r.hour)
 

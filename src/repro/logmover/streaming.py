@@ -2,81 +2,65 @@
 
 The paper lands data hourly and names real-time delivery as the open
 frontier ("towards real-time processing"). :class:`StreamingMover` is
-that path: instead of waiting for an hour to close, it lands small
-frequent micro-batches from the per-datacenter staging clusters into the
-warehouse's per-hour directories, so data is *queryable minutes after it
-was logged* while the hourly contract (one merged, checked, deduped
-directory per hour) still holds once the hour is **sealed**.
+that path: the streaming *policy* over the shared
+:class:`~repro.logmover.landing.LandingCore` (which owns every check,
+dedup, merge, publish, segment and quarantine step). Data is *queryable
+minutes after it was logged*, and the hourly contract (one merged,
+checked, deduped directory per hour) holds once the hour is **sealed**.
 
 Protocol per hour directory ``/logs/<category>/YYYY/MM/DD/HH``:
 
 * **micro-batches** -- every ``batch_interval_ms`` the mover collects
-  whatever each *reachable* datacenter has staged for the hour, applies
-  the same sanity checks (quarantined files are preserved under
-  ``/quarantine/...``, exactly like the hourly mover), strips envelopes
-  and dedups on ``(origin, seq)``, then publishes one ``batch-NNNNN``
-  file via write-to-``/_incoming`` + atomic rename. Identities commit
-  at the rename (the durable publish), so a retry after a staged-cleanup
-  failure dedups instead of double-landing.
+  whatever each *reachable* datacenter has staged for the hour and
+  publishes one ``batch-NNNNN`` file via write-to-``/_incoming`` + atomic
+  rename. Identities commit (and delivery traces close) at the rename,
+  the durable publish, so a retry after a staged-cleanup failure dedups
+  instead of double-landing.
 * **watermark** -- per category, ``min`` over producing datacenters of
   that datacenter's *progress*: ``now - watermark_delay_ms`` while its
   staging cluster is reachable, frozen at the last live value during an
   outage. A frozen datacenter therefore holds the watermark back, and an
   unreachable staging cluster can never cause a premature seal.
 * **seal** -- when the watermark passes the hour's end, the hour's batch
-  files are merged into a few large ``part-NNNNN`` files (the §2
-  small-file merge) staged in ``/_incoming`` and slid into place with an
-  atomic directory rename, optionally followed by a columnar segment.
+  files are read back, merged into a few large ``part-NNNNN`` files (the
+  §2 small-file merge) and slid into place like an hourly move,
+  optionally followed by a columnar segment.
 * **late re-open** -- staged data arriving for a sealed hour (a durable
   aggregator restarting with an old write-ahead buffer, say) lands as a
   fresh batch beside the sealed part files and clears the seal; the next
-  poll re-seals via the same replace-semantics merge. Re-opens are
-  counted (``streaming_late_reopens_total``) and surface through the
-  data-quality auditor as ``late`` verdicts while the data is in flight.
+  poll re-seals via the same replace-semantics merge. Re-opens count in
+  ``streaming_late_reopens_total`` and surface through the data-quality
+  auditor as ``late`` verdicts while the data is in flight.
 
-Crash windows mirror the hourly mover's and are exposed as fault sites
-``logmover.<category>.batch.pre_rename`` / ``.batch.pre_cleanup`` /
-``.seal.pre_rename`` so the chaos soak can prove a re-poll converges.
-
-Audit surface: :meth:`landed_identities` and :attr:`moves` match the
-hourly :class:`~repro.logmover.mover.LogMover`, with one *cumulative*
-:class:`MoveResult` per hour (updated in place as batches land), so the
-chaos conservation audit and the PR 6 data-quality auditor work on a
-streaming pipeline unchanged.
+Crash windows are the fault sites ``logmover.<category>.batch.pre_rename``
+/ ``.batch.pre_cleanup`` / ``.seal.pre_rename``, so the chaos soak can
+prove a re-poll converges. ``moves`` holds one *cumulative*
+:class:`MoveResult` per hour (updated in place), so the conservation audit
+and the data-quality auditor work on a streaming pipeline unchanged.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clock import MILLIS_PER_HOUR, MILLIS_PER_MINUTE, LogicalClock
+from repro.faults.injector import crash_point
 from repro.hdfs.layout import (
     LOGS_ROOT,
     STAGING_ROOT,
     LogHour,
     data_files,
-    hour_for_millis,
     millis_for_hour,
     parse_hour_path,
-    quarantine_path,
-    staging_path,
 )
 from repro.hdfs.namenode import HDFS, HDFSUnavailableError
-from repro.logmover.checks import DEFAULT_CHECKS, SanityCheck, SanityCheckError
-from repro.logmover.mover import (
-    INCOMING_ROOT,
-    LogMover,
-    MessageIdentity,
-    MoveResult,
-)
+from repro.hdfs.publish import atomic_publish
+from repro.logmover.checks import SanityCheck
+from repro.logmover.landing import INCOMING_ROOT, LandingCore, MoveResult
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_default_registry
 from repro.scribe.aggregator import decode_messages, encode_messages
-from repro.scribe.message import decode_envelope
-
-logger = logging.getLogger(__name__)
 
 #: Default micro-batch cadence: five logical minutes.
 DEFAULT_BATCH_INTERVAL_MS = 5 * MILLIS_PER_MINUTE
@@ -90,10 +74,8 @@ class BatchResult:
     """One committed micro-batch (or batch-sized cleanup) for one hour."""
 
     hour: LogHour
-    batch_index: Optional[int]
     messages_landed: int
     duplicates_skipped: int = 0
-    quarantined_files: int = 0
     #: True when this batch landed into a previously sealed hour.
     reopened: bool = False
 
@@ -118,28 +100,20 @@ class PollResult:
 class _HourState:
     """Committed per-hour streaming state."""
 
-    hour: LogHour
     #: Committed batch count; ``batch-<n>`` files below this index are
     #: published, anything at or above it is crash debris.
     batches: int = 0
     sealed: bool = False
-    seals: int = 0
     reopens: int = 0
-    #: Committed ``(origin, seq)`` identities for the hour. Unlike the
-    #: hourly mover, the hour's *own* ledger participates in dedup: a
-    #: committed batch's staged inputs may already be deleted, so a late
-    #: resend of a landed identity must be suppressed, not re-landed.
-    identities: Set[MessageIdentity] = field(default_factory=set)
     #: The cumulative MoveResult exposed through ``moves``.
     result: Optional[MoveResult] = None
 
 
-class StreamingMover:
+class StreamingMover(LandingCore):
     """Micro-batch mover: staged files → per-hour batches → sealed hours.
 
-    Constructor arguments mirror :class:`~repro.logmover.mover.LogMover`
-    where they overlap; ``clock`` is required because watermarks are a
-    function of logical time.
+    Arguments mirror :class:`~repro.logmover.mover.LogMover`'s; ``clock``
+    is required because watermarks are a function of logical time.
     """
 
     def __init__(self, staging_clusters: Dict[str, HDFS], warehouse: HDFS,
@@ -151,56 +125,25 @@ class StreamingMover:
                  batch_interval_ms: int = DEFAULT_BATCH_INTERVAL_MS,
                  watermark_delay_ms: int = DEFAULT_WATERMARK_DELAY_MS,
                  columnar_categories: Optional[Sequence[str]] = None) -> None:
-        if not staging_clusters:
-            raise ValueError("need at least one staging cluster")
+        super().__init__(staging_clusters, warehouse, producers, checks,
+                         target_file_bytes, codec, clock,
+                         columnar_categories)
         if batch_interval_ms <= 0 or watermark_delay_ms < 0:
             raise ValueError("bad batch interval or watermark delay")
-        self._staging = dict(staging_clusters)
-        self._warehouse = warehouse
-        self._clock = clock
-        self._producers = dict(producers or {})
-        self._checks = list(DEFAULT_CHECKS if checks is None else checks)
-        self._target_file_bytes = target_file_bytes
-        self._codec = codec
-        self._batch_interval_ms = batch_interval_ms
+        #: The configured micro-batch cadence.
+        self.batch_interval_ms = batch_interval_ms
         self._watermark_delay_ms = watermark_delay_ms
-        self._columnar_categories = frozenset(columnar_categories or ())
         self._states: Dict[LogHour, _HourState] = {}
         #: (category, datacenter) -> last observed progress (ms). Frozen
         #: while the datacenter's staging cluster is unreachable.
         self._progress: Dict[Tuple[str, str], int] = {}
         #: category -> earliest logical instant the next batch may land.
         self._next_batch_ms: Dict[str, int] = {}
-        self.moves: List[MoveResult] = []
 
-    @property
-    def batch_interval_ms(self) -> int:
-        """The configured micro-batch cadence."""
-        return self._batch_interval_ms
-
-    # -- audit surface (mirrors LogMover) --------------------------------
-    def producing_datacenters(self, category: str) -> List[str]:
-        """Datacenters expected to stage data for a category."""
-        declared = self._producers.get(category)
-        if declared is not None:
-            return sorted(declared)
-        return sorted(self._staging)
-
-    def landed_identities(
-            self, hour: Optional[LogHour] = None) -> FrozenSet[MessageIdentity]:
-        """Committed ``(origin, seq)`` identities, for one hour or all."""
-        if hour is not None:
-            state = self._states.get(hour)
-            return frozenset(state.identities if state else ())
-        out: Set[MessageIdentity] = set()
-        for state in self._states.values():
-            out |= state.identities
-        return frozenset(out)
-
+    # -- seal state ------------------------------------------------------
     def sealed(self, hour: LogHour) -> bool:
         """Has the hour been sealed (and not re-opened since)?"""
-        state = self._states.get(hour)
-        return state.sealed if state else False
+        return hour in self._states and self._states[hour].sealed
 
     def hours_sealed(self) -> List[LogHour]:
         """Every hour currently in the sealed state, sorted."""
@@ -227,71 +170,60 @@ class StreamingMover:
                     for dc in self.producing_datacenters(category)),
                    default=0)
 
-    def _advance_watermark(self, category: str, now: int,
-                           live: Dict[str, bool]) -> int:
-        registry = get_default_registry()
-        for datacenter in self.producing_datacenters(category):
-            if live.get(datacenter):
-                self._progress[(category, datacenter)] = \
-                    now - self._watermark_delay_ms
-        watermark = self.watermark(category)
-        registry.gauge(obs_names.STREAMING_WATERMARK_LAG,
-                       category=category).set(max(0, now - watermark))
-        return watermark
-
-    def _staging_live(self, datacenter: str) -> bool:
-        """Probe the datacenter's staging write path.
+    def _live_datacenters(self, category: str) -> List[str]:
+        """The category's producing datacenters whose staging answers.
 
         Reads never fail in the simulated HDFS; outages surface on the
         mutation path. ``mkdirs`` on the staging root is an idempotent
         mutation, so it is an honest liveness probe: if it raises, batch
         cleanup (the ``delete`` of staged inputs) would raise too.
         """
-        try:
-            self._staging[datacenter].mkdirs(f"{STAGING_ROOT}/{datacenter}")
-        except HDFSUnavailableError:
-            return False
-        return True
+        live = []
+        for datacenter in self.producing_datacenters(category):
+            try:
+                self._staging[datacenter].mkdirs(
+                    f"{STAGING_ROOT}/{datacenter}")
+            except HDFSUnavailableError:
+                continue
+            live.append(datacenter)
+        return live
 
     # -- the poll --------------------------------------------------------
     def poll(self, category: str, force: bool = False) -> PollResult:
-        """One streaming turn: land due micro-batches, advance the
-        watermark, seal (or re-seal) every hour the watermark passed.
-
-        Batches land at most every ``batch_interval_ms`` unless
-        ``force=True``; the watermark and sealing always run, so a quiet
-        poll still closes hours out.
-        """
+        """One streaming turn: land due micro-batches (at most every
+        ``batch_interval_ms`` unless ``force=True``), then -- always, so a
+        quiet poll still closes hours out -- advance the watermark and
+        seal or re-seal every hour it passed."""
         now = self._clock.now()
         result = PollResult(category=category, now_ms=now, watermark_ms=0)
-        live = {dc: self._staging_live(dc)
-                for dc in self.producing_datacenters(category)}
+        live = self._live_datacenters(category)
         if force or now >= self._next_batch_ms.get(category, 0):
-            self._next_batch_ms[category] = now + self._batch_interval_ms
+            self._next_batch_ms[category] = now + self.batch_interval_ms
             for hour in self._staged_hours(category, live):
                 batch = self._land_batch(hour, live)
                 if batch is not None:
                     result.batches.append(batch)
-        result.watermark_ms = self._advance_watermark(category, now, live)
-        for hour, state in sorted(self._states.items()):
-            if (hour.category == category and not state.sealed
-                    and state.batches > 0
-                    and millis_for_hour(hour) + MILLIS_PER_HOUR
-                    <= result.watermark_ms):
-                self._seal_hour(state)
+        for datacenter in live:
+            self._progress[(category, datacenter)] = \
+                now - self._watermark_delay_ms
+        result.watermark_ms = self.watermark(category)
+        get_default_registry().gauge(
+            obs_names.STREAMING_WATERMARK_LAG, category=category).set(
+                max(0, now - result.watermark_ms))
+        for hour in self.unsealed_hours():
+            if (hour.category == category and millis_for_hour(hour)
+                    + MILLIS_PER_HOUR <= result.watermark_ms):
+                self._seal_hour(hour)
                 result.sealed.append(hour)
         return result
 
     def _staged_hours(self, category: str,
-                      live: Dict[str, bool]) -> List[LogHour]:
+                      live: List[str]) -> List[LogHour]:
         """Every hour with staged data in a reachable datacenter."""
         hours: Set[LogHour] = set()
-        for datacenter, ok in live.items():
-            if not ok:
-                continue
-            staging = self._staging[datacenter]
+        for datacenter in live:
             prefix = f"{STAGING_ROOT}/{datacenter}/{category}"
-            for path in staging.glob_files(prefix):
+            for path in self._staging[datacenter].glob_files(prefix):
                 hour = parse_hour_path(path.rsplit("/", 1)[0])
                 if hour is not None:
                     hours.add(hour)
@@ -299,92 +231,51 @@ class StreamingMover:
 
     # -- micro-batch landing ---------------------------------------------
     def _land_batch(self, hour: LogHour,
-                    live: Dict[str, bool]) -> Optional[BatchResult]:
-        """Land one micro-batch for one hour from every reachable DC."""
-        state = self._state_for(hour)
+                    live: List[str]) -> Optional[BatchResult]:
+        """Land one micro-batch for one hour from every reachable DC (a
+        frozen watermark keeps the hour open for the others), beside the
+        hour's earlier batches -- so its own committed identities dedup."""
+        state = self._states.setdefault(hour, _HourState())
         registry = get_default_registry()
         final_dir = hour.path(root=LOGS_ROOT)
-        incoming_path = (f"{hour.path(root=INCOMING_ROOT)}"
-                         f"/batch-{state.batches:05d}")
-        # Clear debris from a crashed previous attempt: an uncommitted
-        # incoming file, or (belt and braces) a final batch file at or
-        # above the committed counter.
-        if self._warehouse.exists(incoming_path):
-            self._warehouse.delete(incoming_path)
+        # Belt and braces against a crashed previous attempt: a final
+        # batch file at or above the committed counter is debris (the
+        # uncommitted incoming file is swept by the publish itself).
         for path in self._warehouse.glob_files(final_dir):
             name = path.rsplit("/", 1)[-1]
             if name.startswith("batch-") and \
                     int(name.split("-", 1)[1]) >= state.batches:
                 self._warehouse.delete(path)
 
-        landed_elsewhere: Set[MessageIdentity] = set()
-        for other, other_state in self._states.items():
-            if other != hour:
-                landed_elsewhere |= other_state.identities
-        seen: Set[MessageIdentity] = set()
-        messages: List[bytes] = []
-        batch_identities: Set[MessageIdentity] = set()
-        staged_paths: List[Tuple[str, str]] = []
-        duplicates = 0
-        quarantined: List[Tuple[str, str]] = []
-        quarantined_to: List[str] = []
-        quarantined_messages = 0
-        check_failures: Dict[str, int] = {}
-        input_files = 0
-        for datacenter in self.producing_datacenters(hour.category):
-            if not live.get(datacenter):
-                continue  # frozen watermark keeps the hour open for it
-            staging = self._staging[datacenter]
-            for path in staging.glob_files(staging_path(datacenter, hour)):
-                input_files += 1
-                staged_paths.append((datacenter, path))
-                raw = staging.open_bytes(path)
-                file_frames = decode_messages(raw)
-                try:
-                    for check in self._checks:
-                        check(path, file_frames)
-                except SanityCheckError as exc:
-                    quarantined.append((exc.path, exc.reason))
-                    quarantined_to.append(self._preserve_quarantined(
-                        datacenter, path, raw, hour))
-                    quarantined_messages += len(file_frames)
-                    check_failures[datacenter] = \
-                        check_failures.get(datacenter, 0) + 1
-                    continue
-                for frame in file_frames:
-                    origin, seq, payload = decode_envelope(frame)
-                    if origin is not None:
-                        identity = (origin, seq)
-                        if (identity in seen
-                                or identity in state.identities
-                                or identity in landed_elsewhere):
-                            duplicates += 1
-                            continue
-                        seen.add(identity)
-                        batch_identities.add(identity)
-                    messages.append(payload)
-        if not staged_paths:
+        got = self.collect(hour, live, replaces_hour=False)
+        if not got.staged_paths:
             return None
+        if state.result is None:
+            # One cumulative result per hour, mutated in place: the chaos
+            # audit sums over ``moves`` without double counting, and the
+            # data-quality auditor's last-per-hour lookup sees the hour's
+            # full state.
+            state.result = MoveResult(hour=hour, messages_moved=0,
+                                      input_files=0, output_files=0,
+                                      moved_at_ms=self._clock.now())
+            self.moves.append(state.result)
 
-        reopened = state.sealed and bool(messages)
-        batch_index: Optional[int] = None
-        if messages:
-            self._warehouse.create(incoming_path, encode_messages(messages),
-                                   codec=self._codec)
-            LogMover._crash_point(
-                f"logmover.{hour.category}.batch.pre_rename")
-            self._warehouse.mkdirs(final_dir)
-            final_path = f"{final_dir}/batch-{state.batches:05d}"
-            self._warehouse.rename(incoming_path, final_path)
+        reopened = state.sealed and bool(got.messages)
+        if got.messages:
+            name = f"batch-{state.batches:05d}"
+            atomic_publish(
+                self._warehouse, f"{hour.path(root=INCOMING_ROOT)}/{name}",
+                f"{final_dir}/{name}",
+                lambda tmp: self._warehouse.create(
+                    tmp, encode_messages(got.messages), codec=self._codec),
+                pre_rename=f"logmover.{hour.category}.batch.pre_rename")
             # Commit point: the rename is the durable publish, so the
             # identities (and batch counter) become facts *now* -- a
             # failure during staged cleanup must dedup, not re-land.
-            batch_index = state.batches
             state.batches += 1
-            state.identities |= batch_identities
-            result_row = self._result_for(state)
-            result_row.messages_moved += len(messages)
-            result_row.moved_at_ms = self._clock.now()
+            self._landed.setdefault(hour, set()).update(got.identities)
+            self.record_landed(got, f"{final_dir}/{name}")
+            self.account_published(got, state.result)
             if reopened:
                 state.sealed = False
                 state.reopens += 1
@@ -392,152 +283,48 @@ class StreamingMover:
                                  category=hour.category).inc()
             registry.counter(obs_names.STREAMING_BATCHES_LANDED,
                              category=hour.category).inc()
-            registry.counter(obs_names.MOVER_MESSAGES_MOVED,
-                             category=hour.category).inc(len(messages))
-            registry.counter(obs_names.MOVER_BYTES_MOVED,
-                             category=hour.category).inc(
-                                 sum(len(m) for m in messages))
-        LogMover._crash_point(f"logmover.{hour.category}.batch.pre_cleanup")
-        for datacenter, path in staged_paths:
-            self._staging[datacenter].delete(path)
-
-        # Cleanup-side accounting: staged inputs are counted by the
-        # attempt that actually deletes them, so a crash between publish
-        # and cleanup never double-counts a quarantined file.
-        result_row = self._result_for(state)
-        result_row.input_files += input_files
-        result_row.quarantined.extend(quarantined)
-        result_row.quarantined_to.extend(quarantined_to)
-        result_row.quarantined_messages += quarantined_messages
-        result_row.duplicates_skipped += duplicates
-        if duplicates:
-            registry.counter(obs_names.MOVER_DUPLICATES_SKIPPED,
-                             category=hour.category).inc(duplicates)
-        for datacenter, failures in sorted(check_failures.items()):
-            registry.counter(obs_names.MOVER_CHECK_FAILURES,
-                             datacenter=datacenter,
-                             category=hour.category).inc(failures)
-        if quarantined_to:
-            registry.counter(obs_names.MOVER_QUARANTINED_FILES,
-                             category=hour.category).inc(len(quarantined_to))
-        registry.counter(obs_names.MOVER_FILES_MOVED,
-                         category=hour.category).inc(input_files)
-        return BatchResult(hour=hour, batch_index=batch_index,
-                           messages_landed=len(messages),
-                           duplicates_skipped=duplicates,
-                           quarantined_files=len(quarantined),
+        crash_point(f"logmover.{hour.category}.batch.pre_cleanup")
+        self.delete_staged(got)
+        self.account_consumed(got, state.result)
+        return BatchResult(hour=hour, messages_landed=len(got.messages),
+                           duplicates_skipped=got.duplicates,
                            reopened=reopened)
 
-    def _preserve_quarantined(self, datacenter: str, path: str,
-                              raw: bytes, hour: LogHour) -> str:
-        """Copy one quarantined staging file into ``/quarantine/...``."""
-        filename = path.rsplit("/", 1)[-1]
-        dest = quarantine_path(datacenter, hour, filename)
-        self._warehouse.create(dest, raw, codec=self._codec, overwrite=True)
-        return dest
-
-    def _result_for(self, state: _HourState) -> MoveResult:
-        """The hour's cumulative MoveResult, created on first use.
-
-        One result per hour, mutated in place, keeps both audit
-        consumers honest: the chaos audit sums over ``moves`` without
-        double counting, and the data-quality auditor's last-per-hour
-        lookup sees the hour's full cumulative state.
-        """
-        if state.result is None:
-            state.result = MoveResult(hour=state.hour, messages_moved=0,
-                                      input_files=0, output_files=0,
-                                      moved_at_ms=self._clock.now())
-            self.moves.append(state.result)
-        return state.result
-
-    def _state_for(self, hour: LogHour) -> _HourState:
-        state = self._states.get(hour)
-        if state is None:
-            state = _HourState(hour=hour)
-            self._states[hour] = state
-        return state
-
     # -- sealing ---------------------------------------------------------
-    def _seal_hour(self, state: _HourState) -> None:
+    def _seal_hour(self, hour: LogHour) -> None:
         """Finalize the hour: merge batches into part files atomically.
 
-        Idempotent and crash-convergent: debris in ``/_incoming`` is
-        rebuilt from the still-published hour, and the one
-        unrecoverable-looking window (final directory deleted, merged
-        directory not yet renamed -- a warehouse hiccup between the two
-        namespace operations) is repaired by the recovery branch that
-        renames the surviving merged directory into place.
+        Crash-convergent: ``/_incoming`` debris is rebuilt from the
+        still-published hour, and the one window that looks fatal (a
+        warehouse hiccup after the final directory's delete, before the
+        merged one's rename) is repaired by finishing that rename.
         """
-        hour = state.hour
+        state = self._states[hour]
         final_dir = hour.path(root=LOGS_ROOT)
         incoming_dir = hour.path(root=INCOMING_ROOT)
         registry = get_default_registry()
         if not self._warehouse.is_dir(final_dir) and \
                 self._warehouse.is_dir(incoming_dir):
-            # Recovery: a previous seal lost the race between delete and
-            # rename; the merged directory holds the hour's full content.
-            self._warehouse.rename(incoming_dir, final_dir)
+            # Recovery: the merged directory holds the hour's full content.
+            atomic_publish(self._warehouse, incoming_dir, final_dir)
         else:
             messages: List[bytes] = []
             for path in sorted(data_files(self._warehouse, final_dir)):
                 messages.extend(
                     decode_messages(self._warehouse.open_bytes(path)))
-            if self._warehouse.exists(incoming_dir):
-                self._warehouse.delete(incoming_dir, recursive=True)
-            file_counts = self._write_merged(incoming_dir, messages)
-            LogMover._crash_point(
-                f"logmover.{hour.category}.seal.pre_rename")
-            self._warehouse.delete(final_dir, recursive=True)
-            self._warehouse.rename(incoming_dir, final_dir)
-            if state.result is not None:
-                state.result.output_files = len(file_counts)
-                state.result.moved_at_ms = self._clock.now()
-            if hour.category in self._columnar_categories and messages:
-                self._build_segment(hour, final_dir, messages, file_counts)
+            file_counts = self.publish_hour(
+                hour, messages,
+                pre_delete=f"logmover.{hour.category}.seal.pre_rename")
+            state.result.output_files = len(file_counts)
+            state.result.moved_at_ms = self._clock.now()
+            registry.counter(obs_names.MOVER_FILES_WRITTEN,
+                             category=hour.category).inc(len(file_counts))
+            self.build_segment(hour, messages, file_counts)
         state.sealed = True
-        state.seals += 1
         registry.counter(obs_names.STREAMING_HOURS_SEALED,
                          category=hour.category).inc()
         registry.counter(obs_names.MOVER_HOURS_MOVED,
                          category=hour.category).inc()
-
-    def _write_merged(self, directory: str,
-                      messages: List[bytes]) -> List[int]:
-        """Write messages as a small number of large framed files."""
-        self._warehouse.mkdirs(directory)
-        if not messages:
-            return []
-        chunks: List[List[bytes]] = [[]]
-        size = 0
-        for message in messages:
-            if size >= self._target_file_bytes and chunks[-1]:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(message)
-            size += len(message)
-        for i, chunk in enumerate(chunks):
-            path = f"{directory}/part-{i:05d}"
-            self._warehouse.create(path, encode_messages(chunk),
-                                   codec=self._codec)
-        return [len(chunk) for chunk in chunks]
-
-    def _build_segment(self, hour: LogHour, final_dir: str,
-                       messages: List[bytes],
-                       file_counts: List[int]) -> None:
-        """Compact the just-sealed hour into a columnar segment."""
-        from repro.core.event import ClientEvent
-        from repro.warehouse.segment import write_hour_segment
-
-        try:
-            events = [ClientEvent.from_bytes(m) for m in messages]
-        except Exception as exc:
-            logger.warning("columnar segment skipped for %s: %s", hour, exc)
-            return
-        sources = [(f"{final_dir}/part-{i:05d}", count)
-                   for i, count in enumerate(file_counts)]
-        write_hour_segment(self._warehouse, final_dir, events, sources,
-                           built_at_ms=self._clock.now())
 
     # -- finishing -------------------------------------------------------
     def run_until_sealed(self, category: str, max_steps: int = 240,
@@ -545,20 +332,17 @@ class StreamingMover:
                          on_poll=None) -> List[PollResult]:
         """Advance the clock and poll until every landed hour is sealed
         and no staged data remains. The shutdown path for soaks and
-        benchmarks; bounded by ``max_steps`` minutes of logical time.
-        """
+        benchmarks; bounded by ``max_steps`` minutes of logical time."""
         results: List[PollResult] = []
         for _ in range(max_steps):
             result = self.poll(category, force=True)
             results.append(result)
             if on_poll is not None:
                 on_poll(result)
-            live = {dc: self._staging_live(dc)
-                    for dc in self.producing_datacenters(category)}
-            pending = self._staged_hours(category, live)
-            unsealed = [h for h, s in self._states.items()
-                        if h.category == category and s.batches > 0
-                        and not s.sealed]
+            pending = self._staged_hours(category,
+                                         self._live_datacenters(category))
+            unsealed = [h for h in self.unsealed_hours()
+                        if h.category == category]
             if not pending and not unsealed:
                 return results
             self._clock.advance(step_ms)
@@ -566,7 +350,3 @@ class StreamingMover:
             f"streaming mover failed to drain {category!r} within "
             f"{max_steps} steps")
 
-
-def hour_for_entry_millis(category: str, millis: int) -> LogHour:
-    """The hour an entry logged at ``millis`` belongs to (re-export)."""
-    return hour_for_millis(category, millis)

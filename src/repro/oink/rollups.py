@@ -15,11 +15,12 @@ without any additional intervention from the application developer,
 rudimentary statistics are computed and made available on a daily basis."
 
 Materialized days commit atomically: all five ``level-*.json`` files are
-written into a ``<day>.tmp`` sibling directory and slid into place with
-one rename -- the same discipline as ``_index``/``_columnar`` -- so a
-reader never observes a day mixing old and new levels. The continuously
-updated variant of this job lives in :mod:`repro.oink.incremental`; both
-paths share :func:`materialize_rollups`, so their on-disk artifacts are
+written into a ``<day>.tmp`` sibling directory and slid into place by
+:func:`repro.hdfs.publish.atomic_publish` -- the same primitive as
+``_index``/``_columnar`` -- so a reader never observes a day mixing old
+and new levels. The continuously updated variant of this job lives in
+:mod:`repro.oink.incremental`; both paths share
+:func:`materialize_rollups`, so their on-disk artifacts are
 byte-identical for identical tables.
 """
 
@@ -32,8 +33,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.event import CLIENT_EVENTS_CATEGORY
 from repro.core.names import EventName
-from repro.faults.injector import KIND_CRASH, InjectedCrash, fault_point
+from repro.faults.injector import crash_point
 from repro.hdfs.namenode import HDFS
+from repro.hdfs.publish import atomic_publish
 from repro.mapreduce.jobtracker import JobTracker
 from repro.pig.loaders import ClientEventsLoader
 from repro.pig.relation import PigServer
@@ -152,13 +154,6 @@ def rollup_tables(events) -> Dict[int, Counter]:
     return tables
 
 
-def _crash_point(site: str) -> None:
-    """Injectable crash between materialize steps (``oink.rollups.*``)."""
-    rule = fault_point(site)
-    if rule is not None and rule.kind == KIND_CRASH:
-        raise InjectedCrash(f"rollup materialize crashed at {site}")
-
-
 def materialize_rollups(warehouse: HDFS, result: RollupResult,
                         root: str = ROLLUPS_ROOT) -> str:
     """Write one day's tables to HDFS, committing the day atomically.
@@ -172,27 +167,25 @@ def materialize_rollups(warehouse: HDFS, result: RollupResult,
     Returns the committed directory path.
     """
     directory = rollup_day_dir(*result.date, root=root)
-    tmp = f"{directory}.tmp"
-    if warehouse.exists(tmp):
-        warehouse.delete(tmp, recursive=True)
-    _crash_point("oink.rollups.pre_levels")
-    for level, table in result.tables.items():
-        payload = [
-            {"key": list(name_key), "country": country,
-             "status": status, "count": count}
-            for (name_key, country, status), count in
-            sorted(table.items())
-        ]
-        warehouse.create(
-            f"{tmp}/level-{level}.json",
-            json.dumps(payload).encode("utf-8"),
-            codec="zlib", overwrite=True,
-        )
-    _crash_point("oink.rollups.pre_commit")
-    if warehouse.exists(directory):
-        warehouse.delete(directory, recursive=True)
-    _crash_point("oink.rollups.pre_rename")
-    warehouse.rename(tmp, directory)
+
+    def write_levels(tmp: str) -> None:
+        crash_point("oink.rollups.pre_levels")
+        for level, table in result.tables.items():
+            payload = [
+                {"key": list(name_key), "country": country,
+                 "status": status, "count": count}
+                for (name_key, country, status), count in
+                sorted(table.items())
+            ]
+            warehouse.create(
+                f"{tmp}/level-{level}.json",
+                json.dumps(payload).encode("utf-8"),
+                codec="zlib", overwrite=True,
+            )
+
+    atomic_publish(warehouse, f"{directory}.tmp", directory, write_levels,
+                   pre_delete="oink.rollups.pre_commit",
+                   pre_rename="oink.rollups.pre_rename")
     return directory
 
 
@@ -275,12 +268,8 @@ class RollupJob:
 
         result = RollupResult(date=(year, month, day), tables=tables)
         if materialize:
-            self._materialize(result)
+            materialize_rollups(self._warehouse, result, root=self._root)
         return result
-
-    def _materialize(self, result: RollupResult) -> None:
-        """Write the tables to HDFS for the dashboard to read."""
-        materialize_rollups(self._warehouse, result, root=self._root)
 
     @staticmethod
     def load(warehouse: HDFS, year: int, month: int,

@@ -14,9 +14,9 @@ are the correctness anchor: a reader only trusts the segment for a raw
 file whose live length/block-count still match the recording, so data
 that lands after compaction is scanned raw (speed lost, rows never).
 
-Commit is write-to-``_columnar.tmp`` then rename -- the same atomic
-pattern Elephant Twin's ``_index`` partitions use, with injectable
-crash sites between the steps.
+Commit is write-to-``_columnar.tmp`` then rename through
+:func:`repro.hdfs.publish.atomic_publish`, with injectable
+``warehouse.segment.*`` crash sites between the steps.
 """
 
 from __future__ import annotations
@@ -28,15 +28,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.event import CLIENT_EVENTS_CATEGORY, ClientEvent
-from repro.faults.injector import KIND_CRASH, InjectedCrash, fault_point
+from repro.faults.injector import crash_point
 from repro.hdfs.layout import (
     COLUMNAR_SUBDIR,
     data_files,
     day_path,
     hour_columnar_dir,
+    hour_dirs_of_day,
     parse_hour_path,
 )
 from repro.hdfs.namenode import HDFS
+from repro.hdfs.publish import atomic_publish
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_default_registry
 from repro.thriftlike.codegen import ThriftFileFormat
@@ -85,13 +87,6 @@ COLUMN_KINDS: Dict[str, str] = {
 def tmp_columnar_dir(hour_dir: str) -> str:
     """Build-time staging directory, renamed into place on commit."""
     return f"{hour_dir}/{COLUMNAR_SUBDIR}.tmp"
-
-
-def _crash_point(site: str) -> None:
-    """Injectable crash between build steps (``warehouse.segment.*``)."""
-    rule = fault_point(site)
-    if rule is not None and rule.kind == KIND_CRASH:
-        raise InjectedCrash(f"segment build crashed at {site}")
 
 
 def _encode_column(kind: str, values: Sequence) -> Tuple[str, bytes]:
@@ -387,13 +382,30 @@ def write_hour_segment(fs: HDFS, hour_dir: str,
     if not events:
         return None
     started = time.perf_counter()
-    tmp = tmp_columnar_dir(hour_dir)
-    final = hour_columnar_dir(hour_dir)
-    if fs.exists(tmp):
-        fs.delete(tmp, recursive=True)
+    atomic_publish(
+        fs, tmp_columnar_dir(hour_dir), hour_columnar_dir(hour_dir),
+        lambda tmp: _write_segment_files(fs, tmp, events, sources,
+                                         block_rows, built_at_ms),
+        pre_delete="warehouse.segment.pre_commit",
+        pre_rename="warehouse.segment.pre_rename")
 
+    hour = parse_hour_path(hour_dir)
+    category = hour.category if hour else "adhoc"
+    registry = get_default_registry()
+    registry.histogram(obs_names.COLUMNAR_ENCODE_SECONDS,
+                       category=category).observe(
+        time.perf_counter() - started)
+    registry.counter(obs_names.COLUMNAR_SEGMENTS_BUILT,
+                     category=category).inc()
+    return ColumnarSegment.load(fs, hour_dir)
+
+
+def _write_segment_files(fs: HDFS, tmp: str, events: Sequence[ClientEvent],
+                         sources: Sequence[Tuple[str, int]],
+                         block_rows: int, built_at_ms: int) -> None:
+    """Write every ``.col`` file, then the manifest, under ``tmp``."""
     columns_manifest: Dict[str, dict] = {}
-    _crash_point("warehouse.segment.pre_columns")
+    crash_point("warehouse.segment.pre_columns")
     for name in COLUMN_ORDER:
         kind = COLUMN_KINDS[name]
         array = _column_array(events, name)
@@ -437,25 +449,10 @@ def write_hour_segment(fs: HDFS, hour_dir: str,
         "sources": source_meta,
         "columns": columns_manifest,
     }
-    _crash_point("warehouse.segment.pre_manifest")
+    crash_point("warehouse.segment.pre_manifest")
     fs.create(f"{tmp}/{MANIFEST_FILE}",
               json.dumps(manifest, sort_keys=True).encode("utf-8"),
               overwrite=True)
-    _crash_point("warehouse.segment.pre_commit")
-    if fs.exists(final):
-        fs.delete(final, recursive=True)
-    _crash_point("warehouse.segment.pre_rename")
-    fs.rename(tmp, final)
-
-    hour = parse_hour_path(hour_dir)
-    category = hour.category if hour else "adhoc"
-    registry = get_default_registry()
-    registry.histogram(obs_names.COLUMNAR_ENCODE_SECONDS,
-                       category=category).observe(
-        time.perf_counter() - started)
-    registry.counter(obs_names.COLUMNAR_SEGMENTS_BUILT,
-                     category=category).inc()
-    return ColumnarSegment.load(fs, hour_dir)
 
 
 def compact_hour(fs: HDFS, hour_dir: str,
@@ -501,13 +498,6 @@ class DaySegmentBuild:
     skipped_fresh: List[str] = field(default_factory=list)
     rows_compacted: int = 0
     wall_time_s: float = 0.0
-
-
-def hour_dirs_of_day(fs: HDFS, category: str, year: int, month: int,
-                     day: int) -> List[str]:
-    """Hour directories of one day that hold raw data files."""
-    return sorted({posixpath.dirname(path) for path in
-                   data_files(fs, day_path(category, year, month, day))})
 
 
 def build_day_segments(fs: HDFS, year: int, month: int, day: int,

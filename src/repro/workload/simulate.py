@@ -16,7 +16,7 @@ from repro.core.builder import BuildResult, SessionSequenceBuilder
 from repro.core.dictionary import EventDictionary
 from repro.core.event import CLIENT_EVENTS_CATEGORY
 from repro.core.sequences import SessionSequenceRecord
-from repro.hdfs.layout import hours_of_day
+from repro.hdfs.layout import hour_dirs_of_day, hours_of_day
 from repro.hdfs.namenode import HDFS
 from repro.logmover.mover import LogMover
 from repro.oink.rollups import RollupJob, RollupResult
@@ -65,8 +65,8 @@ class WarehouseSimulation:
         self._through_scribe = through_scribe
         self._compute_rollups = compute_rollups
         # §2: the mover pipeline also "build[s] any necessary indexes";
-        # with build_index each day gets an Elephant Twin index over its
-        # client event logs, at /indexes/client_events/YYYY/MM/DD.
+        # with build_index each day's client event hours get Elephant
+        # Twin ``_index/`` partitions beside the data.
         self._build_index = build_index
         self._datacenter_names = list(datacenters)
         self.warehouse = HDFS(block_size=block_size, name="warehouse")
@@ -79,7 +79,7 @@ class WarehouseSimulation:
         """Simulate ``num_days`` consecutive days from ``start``."""
         results = []
         for offset in range(num_days):
-            results.append(self.run_day(self._date_at(offset),
+            results.append(self.run_day(self._shift(self.start, offset),
                                         day_index=len(self.days)))
         return results
 
@@ -106,12 +106,9 @@ class WarehouseSimulation:
             rollups = RollupJob(self.warehouse).run(*date)
 
         if self._build_index:
-            from repro.elephanttwin.index import Indexer, event_name_terms
-            from repro.pig.loaders import ClientEventsLoader
+            from repro.elephanttwin.buildjob import build_day_indexes
 
-            loader = ClientEventsLoader(self.warehouse, *date)
-            Indexer(self.warehouse, event_name_terms).build(
-                loader.input_format(), self.index_dir(date))
+            build_day_indexes(self.warehouse, *date)
 
         day = SimulatedDay(date=date, workload=workload, build=build,
                            summary=summary, rollups=rollups)
@@ -119,17 +116,15 @@ class WarehouseSimulation:
         return day
 
     # -- access -----------------------------------------------------------
-    @staticmethod
-    def index_dir(date: Date) -> str:
-        """Warehouse directory of one day's Elephant Twin index."""
-        year, month, day = date
-        return f"/indexes/client_events/{year:04d}/{month:02d}/{day:02d}"
-
     def index(self, date: Date):
-        """The day's Elephant Twin index (requires build_index=True)."""
-        from repro.elephanttwin.index import Indexer
+        """The day's committed Elephant Twin partitions, as a
+        :class:`~repro.elephanttwin.buildjob.WarehouseIndex` (empty, so
+        falsy, without ``build_index=True``)."""
+        from repro.elephanttwin.buildjob import WarehouseIndex
 
-        return Indexer.load(self.warehouse, self.index_dir(date))
+        return WarehouseIndex.discover(
+            self.warehouse,
+            hour_dirs_of_day(self.warehouse, CLIENT_EVENTS_CATEGORY, *date))
 
     def dictionary(self, date: Date) -> EventDictionary:
         """The day's event dictionary."""
@@ -144,12 +139,6 @@ class WarehouseSimulation:
         return sorted(self.days)
 
     # -- internals ---------------------------------------------------------
-    def _date_at(self, offset: int) -> Date:
-        from datetime import date as _date, timedelta
-
-        when = _date(*self.start) + timedelta(days=offset)
-        return (when.year, when.month, when.day)
-
     def _deliver_via_scribe(self, workload: DayWorkload,
                             date: Date) -> None:
         deployment = ScribeDeployment(self._datacenter_names, num_hosts=4,

@@ -1,31 +1,58 @@
-"""Elephant Twin tests: index build, pushdown correctness, rebuild (§6)."""
+"""Elephant Twin tests: index build, pushdown correctness, rebuild (§6).
+
+Every case runs on the per-hour ``_index/`` partitions
+(:mod:`repro.elephanttwin.buildjob`), merged for querying by
+:class:`WarehouseIndex`. The build writes beside the data, so these
+tests index a private copy of the generated day, not the shared
+session warehouse.
+"""
 
 import pytest
 
+from repro.core.builder import SessionSequenceBuilder
+from repro.core.event import CLIENT_EVENTS_CATEGORY
 from repro.core.names import EventPattern
-from repro.elephanttwin.index import (
-    INDEX_FILE,
-    BlockIndex,
-    Indexer,
-    event_name_terms,
+from repro.elephanttwin.buildjob import (
+    WarehouseIndex,
+    build_day_indexes,
+    build_hour_index,
+    load_hour_partition,
 )
 from repro.elephanttwin.inputformat import (
     IndexedEventsLoader,
     IndexedInputFormat,
 )
+from repro.elephanttwin.manifest import MANIFEST_FILE, POSTINGS_FILE
+from repro.hdfs.layout import (
+    data_files,
+    hour_dirs_of_day,
+    hour_index_dir,
+    sequences_day_path,
+)
 from repro.hdfs.namenode import HDFS
 from repro.mapreduce.jobtracker import JobTracker
 from repro.pig.loaders import ClientEventsLoader
 from repro.pig.relation import PigServer
-
-INDEX_DIR = "/indexes/client_events"
+from repro.workload.generator import load_warehouse_day
 
 
 @pytest.fixture(scope="module")
-def indexed(warehouse, date):
-    loader = ClientEventsLoader(warehouse, *date)
-    indexer = Indexer(warehouse, event_name_terms)
-    index = indexer.build(loader.input_format(), INDEX_DIR)
+def own_warehouse(workload):
+    fs = HDFS()
+    load_warehouse_day(fs, workload)
+    return fs
+
+
+@pytest.fixture(scope="module")
+def hour_dirs(own_warehouse, date):
+    return hour_dirs_of_day(own_warehouse, CLIENT_EVENTS_CATEGORY, *date)
+
+
+@pytest.fixture(scope="module")
+def indexed(own_warehouse, date, hour_dirs):
+    build_day_indexes(own_warehouse, *date)
+    loader = ClientEventsLoader(own_warehouse, *date)
+    index = WarehouseIndex.discover(own_warehouse, hour_dirs).field("event")
     return loader, index
 
 
@@ -46,27 +73,39 @@ class TestBlockIndex:
         assert union == (index.splits_for([terms[0]])
                          | index.splits_for([terms[1]]))
 
-    def test_persistence_roundtrip(self, indexed, warehouse):
-        __, index = indexed
-        loaded = Indexer.load(warehouse, INDEX_DIR)
-        assert loaded.total_splits == index.total_splits
-        assert loaded.postings == index.postings
+    def test_persistence_roundtrip(self, own_warehouse, hour_dirs):
+        built = build_hour_index(own_warehouse, hour_dirs[0])
+        loaded = load_hour_partition(own_warehouse, hour_dirs[0])
+        assert loaded.manifest == built.manifest
+        for name, index in built.fields.items():
+            assert loaded.fields[name].total_splits == index.total_splits
+            assert loaded.fields[name].postings == index.postings
 
-    def test_index_resides_alongside_data(self, warehouse):
-        """Indexes live in their own files -- rebuilding never rewrites
-        the data (the anti-Trojan-layout argument)."""
-        assert warehouse.is_file(f"{INDEX_DIR}/{INDEX_FILE}")
+    def test_index_resides_alongside_data(self, indexed, own_warehouse,
+                                          hour_dirs):
+        """Indexes live in their own files beside the data -- rebuilding
+        never rewrites the data (the anti-Trojan-layout argument) -- and
+        data scanners never see them."""
+        for directory in hour_dirs:
+            index_dir = hour_index_dir(directory)
+            assert own_warehouse.is_file(f"{index_dir}/{POSTINGS_FILE}")
+            assert own_warehouse.is_file(f"{index_dir}/{MANIFEST_FILE}")
+            assert not any(path.startswith(index_dir)
+                           for path in data_files(own_warehouse, directory))
 
-    def test_rebuild_from_scratch(self, warehouse, date):
-        loader = ClientEventsLoader(warehouse, *date)
-        indexer = Indexer(warehouse, event_name_terms)
-        data_bytes_before = warehouse.total_stored_bytes(
-            f"/logs/client_events")
-        rebuilt = indexer.rebuild(loader.input_format(), INDEX_DIR)
-        assert rebuilt.total_splits > 0
+    def test_rebuild_from_scratch(self, indexed, own_warehouse, date,
+                                  hour_dirs):
+        def data_bytes():
+            return {path: own_warehouse.stored_bytes(path)
+                    for directory in hour_dirs
+                    for path in data_files(own_warehouse, directory)}
+
+        before = data_bytes()
+        rebuilt = build_day_indexes(own_warehouse, *date, force=True)
+        assert rebuilt.built == hour_dirs
+        assert rebuilt.splits_indexed > 0
         # data untouched by reindexing
-        assert warehouse.total_stored_bytes("/logs/client_events") == \
-            data_bytes_before
+        assert data_bytes() == before
 
 
 class TestPushdown:
@@ -133,8 +172,6 @@ class TestCustomExtractor:
     def test_index_by_custom_terms(self):
         from repro.core.event import ClientEvent
         from repro.core.builder import write_day_events
-        from repro.mapreduce.inputformats import FileInputFormat
-        from repro.thriftlike.codegen import ThriftFileFormat
 
         fs = HDFS(block_size=256)
         events = [
@@ -144,46 +181,49 @@ class TestCustomExtractor:
             for i in range(30)
         ]
         write_day_events(fs, events, 2012, 1, 1, events_per_file=10)
-        fmt = ThriftFileFormat(ClientEvent)
-        input_format = FileInputFormat(
-            fs, fs.glob_files("/logs/client_events"), fmt.decode)
-        indexer = Indexer(fs, lambda e: (f"user:{e.user_id}",))
-        index = indexer.build(input_format, "/indexes/by_user")
-        assert set(index.terms()) == {"user:0", "user:1", "user:2"}
+        directory, = hour_dirs_of_day(fs, CLIENT_EVENTS_CATEGORY, 2012, 1, 1)
+        partition = build_hour_index(
+            fs, directory,
+            extractors={"by_user": lambda e: (f"user:{e.user_id}",)})
+        assert set(partition.fields["by_user"].terms()) == {
+            "user:0", "user:1", "user:2"}
 
 
 class TestIndexingSequences:
     """Elephant Twin is generic (§6: "The infrastructure is general,
     although client event logs represent one of the first applications")
-    -- here it indexes the session-sequence store by contained event."""
+    -- here a partition indexes the session-sequence store by contained
+    event, beside the sequence files."""
 
-    def test_index_sequence_store(self, warehouse, date, dictionary):
+    @pytest.fixture(scope="class")
+    def sequence_index(self, own_warehouse, date):
         from repro.core.sequences import SessionSequenceRecord
-        from repro.pig.loaders import SessionSequencesLoader
+        from repro.thriftlike.codegen import ThriftFileFormat
 
-        loader = SessionSequencesLoader(warehouse, *date)
+        builder = SessionSequenceBuilder(own_warehouse)
+        builder.run(*date)
+        dictionary = builder.load_dictionary(*date)
+        partition = build_hour_index(
+            own_warehouse, sequences_day_path(*date),
+            extractors={"event": lambda r: set(r.event_names(dictionary))},
+            decode=ThriftFileFormat(SessionSequenceRecord).decode)
+        return dictionary, partition.fields["event"]
 
-        def contained_events(record: SessionSequenceRecord):
-            return set(record.event_names(dictionary))
-
-        indexer = Indexer(warehouse, contained_events)
-        index = indexer.build(loader.input_format(), "/indexes/sequences")
+    def test_index_sequence_store(self, sequence_index):
+        __, index = sequence_index
         rare = [t for t in index.terms() if t.endswith(":submit")]
         assert rare
         wanted = index.splits_for(rare[:1])
         assert 0 < len(wanted) <= index.total_splits
 
-    def test_pushdown_over_sequences(self, warehouse, date, dictionary):
+    def test_pushdown_over_sequences(self, sequence_index, own_warehouse,
+                                     date):
         import re
 
-        from repro.mapreduce.jobtracker import JobTracker
         from repro.pig.loaders import SessionSequencesLoader
-        from repro.pig.relation import PigServer
 
-        loader = SessionSequencesLoader(warehouse, *date)
-        indexer = Indexer(
-            warehouse, lambda r: set(r.event_names(dictionary)))
-        index = indexer.build(loader.input_format(), "/indexes/sequences")
+        dictionary, index = sequence_index
+        loader = SessionSequencesLoader(own_warehouse, *date)
         pattern = "web:signup:step_confirm:*"
         terms = dictionary.expand_pattern(pattern)
         regex = re.compile(dictionary.symbol_class(pattern))

@@ -216,6 +216,8 @@ class TestSealing:
         registry = get_default_registry()
         assert registry.total(obs_names.STREAMING_HOURS_SEALED) == 1
         assert registry.total(obs_names.MOVER_HOURS_MOVED) == 1
+        # One part file written, counted like an hourly move's.
+        assert registry.total(obs_names.MOVER_FILES_WRITTEN) == 1
 
     def test_hour_without_batches_never_seals(self):
         staging, warehouse = HDFS(), HDFS()
@@ -279,6 +281,9 @@ class TestLateData:
         from repro.obs.metrics import get_default_registry
         assert get_default_registry().total(
             obs_names.STREAMING_LATE_REOPENS) == 1
+        # The seal and the re-seal each wrote one part file.
+        assert get_default_registry().total(
+            obs_names.MOVER_FILES_WRITTEN) == 2
         # The same poll re-seals (the watermark is already past), and the
         # union lands exactly once.
         assert mover.sealed(HOUR0)
@@ -294,6 +299,39 @@ class TestLateData:
         assert mover.late_reopens() == 0
         assert mover.sealed(HOUR0)
         assert _hour_messages(warehouse, HOUR0) == [b"a"]
+
+
+class TestDeliveryTracing:
+    def test_streaming_traces_cover_every_hop(self):
+        """Entries landed by a micro-batch trace daemon → warehouse like
+        hourly ones, and feed the delivery-latency histogram."""
+        from repro.analytics.dashboard import pipeline_health
+        from repro.obs.trace import Tracer, set_default_tracer
+        from repro.scribe.cluster import ScribeDeployment
+        from repro.scribe.message import LogEntry
+
+        tracer = Tracer(enabled=True)
+        old_tracer = set_default_tracer(tracer)
+        try:
+            deployment = ScribeDeployment(["east", "west"], num_hosts=1,
+                                          num_aggregators=1, seed=3)
+            for i in range(6):
+                datacenter = deployment.datacenters[("east", "west")[i % 2]]
+                datacenter.log_from(0, LogEntry(CATEGORY, b"m%d" % i))
+                deployment.clock.advance(1000)
+            deployment.flush_all()
+            mover = _mover({name: dc.staging for name, dc in
+                            deployment.datacenters.items()},
+                           deployment.warehouse, deployment.clock)
+            assert mover.poll(CATEGORY).messages_landed == 6
+        finally:
+            set_default_tracer(old_tracer)
+        assert len(tracer.trace_ids()) == 6
+        for trace_id in tracer.trace_ids():
+            assert tracer.hops(trace_id) == list(obs_names.PIPELINE_HOPS)
+            land = tracer.spans(trace_id)[-1]
+            assert land.attrs["directory"].endswith("/batch-00000")
+        assert pipeline_health().latency_count == 6
 
 
 class TestCrashConvergence:
