@@ -31,7 +31,11 @@ from repro.core.event import CLIENT_EVENTS_CATEGORY, ClientEvent
 from repro.core.sessionizer import Session, Sessionizer
 from repro.hdfs.layout import data_files, day_path
 from repro.hdfs.namenode import HDFS
-from repro.mapreduce.inputformats import FileInputFormat, InputSplit
+from repro.mapreduce.inputformats import (
+    FileInputFormat,
+    InputSplit,
+    split_record_range,
+)
 from repro.thriftlike.codegen import ThriftFileFormat, frame, iter_frames
 
 _EVENT_FORMAT = ThriftFileFormat(ClientEvent)
@@ -181,25 +185,15 @@ class ColumnarInputFormat:
             # raw block count was recorded in the filename at projection
             raw_blocks = int(path.rsplit(".b", 1)[1])
             column_bytes = self._warehouse.stored_bytes(path)
-            rows = self._rows_of(path)
-            per_split = -(-len(rows) // raw_blocks) if rows else 0
-            bytes_per_split = -(-column_bytes // raw_blocks)
-            for i in range(raw_blocks):
-                start = min(i * per_split, len(rows))
-                end = min((i + 1) * per_split, len(rows))
-                out.append(InputSplit(
-                    path=path, index=i, start_record=start,
-                    end_record=end,
-                    length_bytes=max(
-                        min(bytes_per_split,
-                            column_bytes - i * bytes_per_split), 0),
-                ))
+            out.extend(InputSplit(path, i, raw_blocks, column_bytes)
+                       for i in range(raw_blocks))
         return out
 
     def read_split(self, split: InputSplit) -> List[ColumnRow]:
         """The projected rows of one split."""
-        return self._rows_of(split.path)[split.start_record:
-                                         split.end_record]
+        rows = self._rows_of(split.path)
+        start, end = split_record_range(len(rows), split.of, split.index)
+        return rows[start:end]
 
 
 def reorganize_day(warehouse: HDFS, year: int, month: int,

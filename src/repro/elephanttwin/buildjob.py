@@ -10,8 +10,9 @@ backends parallelize index construction exactly as they do queries.
 A partition is two files under ``.../HH/_index/``:
 
 - ``postings.json`` -- per-field term -> [(path, split)] postings,
-- ``manifest.json`` -- the coverage contract: every ``(path, split
-  count)`` pair the build scanned (:mod:`repro.elephanttwin.manifest`).
+- ``manifest.json`` -- the coverage contract: every path the build
+  scanned with its ``(stored length, split count)`` fingerprint
+  (:mod:`repro.elephanttwin.manifest`).
 
 Builds commit a fully-written ``_index.tmp`` through
 :func:`repro.hdfs.publish.atomic_publish`; a crash at any of the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter as _Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -183,7 +183,8 @@ def build_hour_index(fs: HDFS, directory: str,
     for (name, term), keys in result.output:
         postings[name][term] = keys
     manifest = IndexManifest(
-        files=dict(_Counter(split.path for split in splits)),
+        files={split.path: split.of for split in splits},
+        lengths={split.path: split.file_length for split in splits},
         fields=tuple(sorted(extractors)), built_at_ms=built_at_ms)
 
     _commit_partition(fs, directory, postings, manifest)
@@ -241,7 +242,7 @@ def load_hour_partition(fs: HDFS, directory: str) -> Optional[HourPartition]:
             postings={term: {(path, index) for path, index in keys}
                       for term, keys in terms.items()},
             total_splits=manifest.total_splits,
-            covered=dict(manifest.files))
+            covered=dict(manifest.files), lengths=dict(manifest.lengths))
         for name, terms in raw.items()
     }
     return HourPartition(directory=directory, manifest=manifest,
@@ -287,6 +288,7 @@ class WarehouseIndex:
         """
         postings: Dict[str, set] = {}
         covered: Dict[str, int] = {}
+        lengths: Dict[str, int] = {}
         total = 0
         for partition in self.partitions:
             index = partition.fields.get(name)
@@ -295,9 +297,10 @@ class WarehouseIndex:
             for term, keys in index.postings.items():
                 postings.setdefault(term, set()).update(keys)
             covered.update(partition.manifest.files)
+            lengths.update(partition.manifest.lengths)
             total += partition.manifest.total_splits
         return BlockIndex(postings=postings, total_splits=total,
-                          covered=covered)
+                          covered=covered, lengths=lengths)
 
 
 def build_day_indexes(fs: HDFS, year: int, month: int, day: int,

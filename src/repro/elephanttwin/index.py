@@ -38,16 +38,19 @@ class BlockIndex:
     """term -> set of (path, split index) that contain it.
 
     ``covered`` records, per file path, how many splits the build
-    actually indexed. The query side uses it to tell "this split has no
-    matching records" (prune) apart from "this split was never indexed"
-    (must scan): a path absent from ``covered``, or whose live split
-    count no longer matches the recorded one (the file grew blocks, so
-    every split's record range shifted), falls back to a full scan.
+    actually indexed, and ``lengths`` the file's stored length then. The
+    query side uses them to tell "this split has no matching records"
+    (prune) apart from "this split was never indexed" (must scan): a
+    path absent from either, or whose live split count or length no
+    longer matches the recorded one (the file grew blocks, shifting
+    every split's record range, or was rewritten in place), falls back
+    to a full scan.
     """
 
     postings: Dict[str, Set[SplitKey]]
     total_splits: int
     covered: Dict[str, int] = field(default_factory=dict)
+    lengths: Dict[str, int] = field(default_factory=dict)
 
     def splits_for(self, terms: Iterable[str]) -> Set[SplitKey]:
         """All splits containing at least one of the given terms."""
@@ -70,6 +73,7 @@ class BlockIndex:
         payload = {
             "total_splits": self.total_splits,
             "covered": dict(sorted(self.covered.items())),
+            "lengths": dict(sorted(self.lengths.items())),
             "postings": {
                 term: sorted([path, index] for path, index in keys)
                 for term, keys in self.postings.items()
@@ -87,5 +91,7 @@ class BlockIndex:
         }
         return cls(postings=postings, total_splits=payload["total_splits"],
                    covered={path: int(count) for path, count in
-                            payload.get("covered", {}).items()})
+                            payload.get("covered", {}).items()},
+                   lengths={path: int(length) for path, length in
+                            payload.get("lengths", {}).items()})
 

@@ -11,16 +11,16 @@ set; :meth:`splits` consults the block index and prunes splits the index
 *proves* cannot contain matching records. The proof requires coverage:
 a split whose file is absent from the index's coverage map -- data that
 landed after the build, or a file that has since grown blocks (shifting
-every split's record range) -- is never pruned. It is returned as
-*must-scan* work instead, so an indexed plan always produces identical
-rows to the unindexed plan, merely with fewer map tasks when the index
-is fresh.
+every split's record range) or been rewritten to another length -- is
+never pruned. It is returned as *must-scan* work instead, so an indexed
+plan always produces identical rows to the unindexed plan, merely with
+fewer map tasks when the index is fresh.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, Iterable, List
+from typing import Any, Iterable, List
 
 from repro.elephanttwin.index import BlockIndex
 from repro.mapreduce.inputformats import FileInputFormat, InputSplit
@@ -35,12 +35,14 @@ class IndexedInputFormat:
 
     Split selection is three-way, per file path:
 
-    - *covered* path (live split count equals the count recorded at build
-      time) and split listed for a wanted term -> selected;
+    - *covered* path (the split's plan-time ``(file_length, of)``
+      fingerprint equals the one recorded at build time) and split
+      listed for a wanted term -> selected;
     - *covered* path, split not listed -> pruned (``skipped_splits``,
       ``pruned_bytes``);
-    - *uncovered* path (never indexed, or block count changed since the
-      build) -> every split selected as must-scan (``unindexed_splits``).
+    - *uncovered* path (never indexed, or length or block count changed
+      since the build) -> every split selected as must-scan
+      (``unindexed_splits``).
 
     The historical bug lived here: splits absent from the index were
     dropped as if proven empty, silently losing rows whenever data landed
@@ -69,16 +71,13 @@ class IndexedInputFormat:
         ``elephanttwin_splits_unindexed_total``,
         ``elephanttwin_bytes_pruned_total``), labelled by indexed field.
         """
-        base_splits = self._base.splits()
-        live_counts: Dict[str, int] = {}
-        for split in base_splits:
-            live_counts[split.path] = max(live_counts.get(split.path, 0),
-                                          split.index + 1)
-        wanted = self._index.splits_for(self._terms)
+        index = self._index
+        wanted = index.splits_for(self._terms)
         selected: List[InputSplit] = []
         skipped = unindexed = pruned_bytes = 0
-        for split in base_splits:
-            if self._index.covered.get(split.path) != live_counts[split.path]:
+        for split in self._base.splits():
+            if (index.covered.get(split.path) != split.of
+                    or index.lengths.get(split.path) != split.file_length):
                 unindexed += 1
                 selected.append(split)
             elif (split.path, split.index) in wanted:

@@ -4,15 +4,16 @@ The original Elephant Twin stub recorded only postings, so the query side
 could not distinguish "this split contains no matching records" from
 "this split landed after the build". The manifest closes that hole: every
 per-hour index partition carries a manifest naming each data file it
-scanned and how many splits that file had at build time. A split outside
-the manifest -- a new file, or a file that has since grown more blocks
-(which shifts every split's record range) -- is *must-scan* work, never
-prunable.
+scanned with the file's ``(stored length, split count)`` fingerprint at
+build time -- the same one columnar segments record per source file. A
+split outside the manifest -- a new file, a file that has since grown
+more blocks (which shifts every split's record range), or one rewritten
+in place to a different length -- is *must-scan* work, never prunable.
 
 Manifests also drive incremental maintenance: a partition is *fresh* when
 the live data files of its directory still match the recorded
-``(path, split count)`` pairs, and *stale* otherwise, so a daily build
-only re-indexes the hours that changed.
+fingerprints, and *stale* otherwise, so a daily build only re-indexes
+the hours that changed.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ class IndexManifest:
     """Coverage contract of one index partition.
 
     ``files`` maps each indexed data-file path to the number of splits
-    the build scanned for it (one split per block). ``fields`` names the
-    term extractors the partition was built with (e.g. ``event``,
-    ``user``), and ``built_at_ms`` stamps the build on the logical clock.
+    the build scanned for it (one split per block) and ``lengths`` to
+    its stored length then. ``fields`` names the term extractors the
+    partition was built with (e.g. ``event``, ``user``), and
+    ``built_at_ms`` stamps the build on the logical clock.
     """
 
     files: Dict[str, int]
+    lengths: Dict[str, int]
     fields: Tuple[str, ...] = ()
     built_at_ms: int = 0
     version: int = field(default=1)
@@ -66,6 +69,7 @@ class IndexManifest:
             "built_at_ms": self.built_at_ms,
             "fields": sorted(self.fields),
             "files": dict(sorted(self.files.items())),
+            "lengths": dict(sorted(self.lengths.items())),
         }
         return json.dumps(payload, sort_keys=True).encode("utf-8")
 
@@ -74,21 +78,28 @@ class IndexManifest:
         """Inverse of :meth:`to_bytes`."""
         payload = json.loads(data.decode("utf-8"))
         return cls(files={p: int(n) for p, n in payload["files"].items()},
+                   lengths={p: int(n)
+                            for p, n in payload["lengths"].items()},
                    fields=tuple(payload.get("fields", ())),
                    built_at_ms=int(payload.get("built_at_ms", 0)),
                    version=int(payload.get("version", 1)))
 
 
-def live_split_counts(fs: HDFS, directory: str) -> Dict[str, int]:
-    """Current ``path -> split count`` of a data directory.
+def live_fingerprints(fs: HDFS, directory: str
+                      ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Current ``path -> split count`` and ``path -> stored length`` of
+    a data directory.
 
     Mirrors :meth:`FileInputFormat.splits` planning: one split per block,
     with empty files still occupying one split.
     """
     counts: Dict[str, int] = {}
+    lengths: Dict[str, int] = {}
     for path in data_files(fs, directory):
-        counts[path] = max(fs.status(path).block_count, 1)
-    return counts
+        status = fs.status(path)
+        counts[path] = max(status.block_count, 1)
+        lengths[path] = status.length
+    return counts, lengths
 
 
 def partition_status(fs: HDFS, directory: str) -> str:
@@ -96,13 +107,13 @@ def partition_status(fs: HDFS, directory: str) -> str:
 
     ``missing`` -- no committed ``_index/`` manifest; ``stale`` -- data
     files changed since the build (new file, removed file, or a file
-    whose block count moved); ``fresh`` -- coverage matches the live
-    directory exactly.
+    whose length or block count moved); ``fresh`` -- coverage matches
+    the live directory exactly.
     """
     manifest = load_manifest(fs, directory)
     if manifest is None:
         return STATUS_MISSING
-    if manifest.files != live_split_counts(fs, directory):
+    if (manifest.files, manifest.lengths) != live_fingerprints(fs, directory):
         return STATUS_STALE
     return STATUS_FRESH
 

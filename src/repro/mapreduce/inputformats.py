@@ -27,18 +27,43 @@ from repro.obs.metrics import get_default_registry
 
 @dataclass(frozen=True)
 class InputSplit:
-    """One map task's slice of the input: a record range of one file."""
+    """One map task's slice of the input: split ``index`` of the ``of``
+    splits its ``file_length``-byte file had when the plan was made.
+
+    It names no record range: planning reads only namenode metadata,
+    and ``read_split`` derives the range from the decoded file with
+    :func:`split_record_range`. ``(file_length, of)`` is the file's
+    plan-time fingerprint, which index manifests and segments record to
+    detect a file rewritten since their build.
+    """
 
     path: str
     index: int
-    start_record: int
-    end_record: int
-    length_bytes: int
+    of: int
+    file_length: int
 
     @property
-    def num_records(self) -> int:
-        """Records assigned to this split."""
-        return self.end_record - self.start_record
+    def length_bytes(self) -> int:
+        """This split's share of the file's stored bytes."""
+        per_split = -(-self.file_length // self.of)
+        # Trailing blocks can overrun the file when the block count
+        # exceeds ceil(length / per_split); clamp to >= 0 so no split
+        # ever reports negative scan bytes.
+        return max(0, min(per_split,
+                          self.file_length - self.index * per_split))
+
+
+def split_record_range(rows: int, splits: int, index: int) -> Tuple[int, int]:
+    """Record range ``[start, end)`` of split ``index`` when ``rows``
+    records are divided evenly over ``splits`` splits.
+
+    The one definition of the division: index postings, segment source
+    recordings and the legacy columnar layout all mean this range by
+    ``(path, split index)``.
+    """
+    per_split = -(-rows // max(splits, 1))
+    start = min(index * per_split, rows)
+    return start, min(start + per_split, rows)
 
 
 class FileInputFormat:
@@ -66,35 +91,27 @@ class FileInputFormat:
 
     # -- planning ----------------------------------------------------------
     def splits(self) -> List[InputSplit]:
-        """One split per block of each input file."""
+        """One split per block of each input file, from namenode
+        metadata alone: no data file is opened or decoded here."""
         out: List[InputSplit] = []
         for path in self.paths:
             status = self.fs.status(path)
-            records = self._records_of(path)
             blocks = max(status.block_count, 1)
-            per_split = -(-len(records) // blocks) if records else 0
-            bytes_per_split = -(-status.length // blocks)
-            for i in range(blocks):
-                start = min(i * per_split, len(records))
-                end = min((i + 1) * per_split, len(records))
-                # Trailing blocks can overrun the file when block_count
-                # exceeds ceil(length / bytes_per_split); clamp to >= 0
-                # so no split ever reports negative scan bytes.
-                out.append(InputSplit(
-                    path=path, index=i, start_record=start, end_record=end,
-                    length_bytes=max(0, min(
-                        bytes_per_split,
-                        status.length - i * bytes_per_split)),
-                ))
+            out.extend(InputSplit(path, i, blocks, status.length)
+                       for i in range(blocks))
         return out
 
     # -- reading ----------------------------------------------------------
     def read_split(self, split: InputSplit) -> List[Any]:
-        """The records of one split (decoding the file on first touch)."""
+        """The records of one split (decoding the file on first touch),
+        divided by the split count the plan saw."""
         records = self._records_of(split.path)
-        return records[split.start_record:split.end_record]
+        start, end = split_record_range(len(records), split.of, split.index)
+        return records[start:end]
 
     def _records_of(self, path: str) -> List[Any]:
+        # Threads that miss together both decode and store equal lists:
+        # the race can cost a duplicate decode, never a wrong row.
         if path not in self._cache:
             self._cache[path] = self.decode(self.fs.open_bytes(path))
         return self._cache[path]
@@ -130,11 +147,6 @@ class ColumnarBlockSplit:
     def index(self) -> int:
         """The block ordinal, in the common split interface slot."""
         return self.block
-
-    @property
-    def num_records(self) -> int:
-        """Rows assigned to this split."""
-        return self.end_row - self.start_row
 
 
 def _merge_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -285,17 +297,10 @@ class InMemoryInputFormat:
 
     def splits(self) -> List[InputSplit]:
         """Fixed-size splits over the in-memory records."""
-        out = []
-        n = len(self._records)
-        count = max(-(-n // self._per_split), 1)
-        for i in range(count):
-            start = i * self._per_split
-            end = min((i + 1) * self._per_split, n)
-            out.append(InputSplit(path="<memory>", index=i,
-                                  start_record=start, end_record=end,
-                                  length_bytes=0))
-        return out
+        count = max(-(-len(self._records) // self._per_split), 1)
+        return [InputSplit("<memory>", i, count, 0) for i in range(count)]
 
     def read_split(self, split: InputSplit) -> List[Any]:
         """The records of one split."""
-        return self._records[split.start_record:split.end_record]
+        start = split.index * self._per_split
+        return self._records[start:start + self._per_split]

@@ -36,20 +36,26 @@ class ClientEventsLoader:
         self._category = category
         self._year, self._month, self._day = year, month, day
         self._hours = list(hours) if hours is not None else None
+        self._paths: Optional[List[str]] = None
 
     def paths(self) -> List[str]:
         """The warehouse data files this loader covers (index partitions
-        beside the data are never rows)."""
-        if self._hours is None:
-            directory = day_path(self._category, self._year, self._month,
-                                 self._day)
-            return data_files(self._warehouse, directory)
-        out: List[str] = []
-        for hour in self._hours:
-            log_hour = LogHour(self._category, self._year, self._month,
-                               self._day, hour)
-            out.extend(data_files(self._warehouse, log_hour.path()))
-        return out
+        beside the data are never rows).
+
+        Listed once per loader: a loader lives for one query, so its
+        index, segment and raw-file views all plan from one snapshot.
+        """
+        if self._paths is None:
+            if self._hours is None:
+                directories = [day_path(self._category, self._year,
+                                        self._month, self._day)]
+            else:
+                directories = [LogHour(self._category, self._year,
+                                       self._month, self._day, hour).path()
+                               for hour in self._hours]
+            self._paths = [path for directory in directories
+                           for path in data_files(self._warehouse, directory)]
+        return list(self._paths)
 
     def hour_dirs(self) -> List[str]:
         """The hour directories holding the covered data files, sorted."""

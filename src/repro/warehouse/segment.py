@@ -39,6 +39,7 @@ from repro.hdfs.layout import (
 )
 from repro.hdfs.namenode import HDFS
 from repro.hdfs.publish import atomic_publish
+from repro.mapreduce.inputformats import split_record_range
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_default_registry
 from repro.thriftlike.codegen import ThriftFileFormat
@@ -239,16 +240,15 @@ class ColumnarSegment:
 
     def split_row_range(self, path: str,
                         split_index: int) -> Optional[Tuple[int, int]]:
-        """Global row range of one raw-file input split, re-derived from
-        the recorded row/block counts with FileInputFormat's arithmetic."""
+        """Global row range of one raw-file input split: the recorded
+        rows divided over the recorded block count, exactly as
+        ``FileInputFormat.read_split`` divides the live file."""
         source = self.source(path)
         base = self.source_range(path)
         if source is None or base is None:
             return None
-        blocks = max(source.block_count, 1)
-        per_split = -(-source.rows // blocks) if source.rows else 0
-        lo = min(split_index * per_split, source.rows)
-        hi = min(lo + per_split, source.rows)
+        lo, hi = split_record_range(source.rows, source.block_count,
+                                    split_index)
         return base[0] + lo, base[0] + hi
 
     # -- column access ---------------------------------------------------

@@ -96,8 +96,8 @@ class TestStaleIndexRegression:
     def test_late_file_rows_survive(self):
         fs = _mini_world()
         build_day_indexes(fs, *MDATE)
-        loader = ClientEventsLoader(fs, *MDATE)
-        full_before = _matching_rows(loader.input_format(), RARE_PATTERN)
+        full_before = _matching_rows(
+            ClientEventsLoader(fs, *MDATE).input_format(), RARE_PATTERN)
 
         # An hour's worth of data lands *after* the build.
         base = millis_for_hour(_hour(5))
@@ -105,6 +105,9 @@ class TestStaleIndexRegression:
         fs.create(f"{_hour(5).path()}/late-00000", _FMT.encode(late),
                   codec="zlib")
 
+        # A loader is one query's snapshot of the listing, so the query
+        # after the late landing gets its own.
+        loader = ClientEventsLoader(fs, *MDATE)
         fmt = loader.indexed_input_format(RARE_PATTERN)
         rows = _matching_rows(fmt, RARE_PATTERN)
         full = _matching_rows(ClientEventsLoader(fs, *MDATE).input_format(),
@@ -156,6 +159,40 @@ class TestStaleIndexRegression:
         assert rows == full
         assert fmt.unindexed_splits >= fs.status(target).block_count
         assert partition_status(fs, _hour(3).path()) == STATUS_STALE
+
+
+    def test_rewritten_file_with_same_block_count_is_uncovered(self):
+        """A file rewritten in place to another length but the same
+        block count: only the ``(length, block count)`` fingerprint
+        notices, so coverage must compare both (it once compared the
+        split count alone and silently dropped the new rows)."""
+        from repro.analytics.counting import (
+            count_events_raw,
+            count_events_selective,
+        )
+
+        fs = _mini_world()
+        build_day_indexes(fs, *MDATE)
+        target = ClientEventsLoader(fs, *MDATE).paths()[0]
+        before = fs.status(target)
+        brand_new = _event("web:brandnew:page:section:element:click",
+                           user=7, ts=millis_for_hour(_hour(3)) + 99)
+        fs.create(target,
+                  _FMT.encode(_FMT.decode(fs.open_bytes(target))
+                              + [brand_new]),
+                  codec=before.codec, overwrite=True)
+        after = fs.status(target)
+        assert after.block_count == before.block_count
+        assert after.length != before.length
+
+        assert partition_status(fs, _hour(3).path()) == STATUS_STALE
+        assert partition_status(fs, _hour(4).path()) == STATUS_FRESH
+        assert count_events_raw(fs, MDATE, "web:brandnew:*") == 1
+        assert count_events_selective(fs, MDATE, "web:brandnew:*") == 1
+        fmt = ClientEventsLoader(fs, *MDATE).indexed_input_format(
+            "web:brandnew:*")
+        assert [split.path for split in fmt.splits()] == [target]
+        assert fmt.unindexed_splits == 1
 
 
 class TestInputSplitClamp:
