@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.thriftlike.protocol import read_varint, write_varint
+from repro.thriftlike.protocol import ByteCursor, write_varint
+from repro.thriftlike.types import ProtocolError
 
 _CATEGORY_RE = re.compile(r"^[a-z0-9_\-]+$")
 
@@ -173,11 +174,16 @@ def decode_envelope(
 
     Frames without the envelope magic -- legacy producers, tests feeding
     aggregators directly -- come back as ``(None, None, data)`` untouched.
+    A frame that has the magic but ends inside the origin length, the
+    origin or the seq raises :class:`ProtocolError`.
     """
     if not data.startswith(ENVELOPE_MAGIC):
         return None, None, data
-    stream = io.BytesIO(data[len(ENVELOPE_MAGIC):])
-    origin_len = read_varint(stream.read)
-    origin = stream.read(origin_len).decode("utf-8")
-    seq = read_varint(stream.read)
-    return origin, seq, stream.read()
+    cursor = ByteCursor(data)
+    cursor.pos = len(ENVELOPE_MAGIC)
+    try:
+        origin = cursor.read_exact(cursor.read_varint()).decode("utf-8")
+        seq = cursor.read_varint()
+    except (ProtocolError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed scribe envelope: {exc}") from exc
+    return origin, seq, data[cursor.pos:]

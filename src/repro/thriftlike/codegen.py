@@ -15,9 +15,8 @@ from __future__ import annotations
 import io
 from typing import Callable, Iterable, Iterator, List, Type, TypeVar
 
-from repro.thriftlike.protocol import read_varint, write_varint
+from repro.thriftlike.protocol import ByteCursor, write_varint
 from repro.thriftlike.struct import ThriftStruct
-from repro.thriftlike.types import ProtocolError
 
 T = TypeVar("T", bound=ThriftStruct)
 
@@ -32,21 +31,9 @@ def frame(payload: bytes) -> bytes:
 
 def iter_frames(data: bytes) -> Iterator[bytes]:
     """Yield record payloads from a concatenation of frames."""
-    buf = io.BytesIO(data)
-
-    def read_exact(n: int) -> bytes:
-        chunk = buf.read(n)
-        if len(chunk) != n:
-            raise ProtocolError("truncated frame")
-        return chunk
-
-    while True:
-        probe = buf.read(1)
-        if not probe:
-            return
-        buf.seek(-1, io.SEEK_CUR)
-        size = read_varint(read_exact)
-        yield read_exact(size)
+    cursor = ByteCursor(data)
+    while cursor.pos < len(data):
+        yield cursor.read_exact(cursor.read_varint())
 
 
 def record_writer(struct_cls: Type[T],

@@ -26,7 +26,7 @@ import struct as _struct
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Type, TypeVar
 
-from repro.thriftlike.protocol import read_varint, unzigzag, write_varint, zigzag
+from repro.thriftlike.protocol import ByteCursor, unzigzag, write_varint, zigzag
 from repro.thriftlike.types import ProtocolError, ValidationError
 
 # protobuf wire types
@@ -34,6 +34,8 @@ _WT_VARINT = 0
 _WT_64BIT = 1
 _WT_LENGTH = 2
 _WT_32BIT = 5
+
+_DOUBLE = _struct.Struct("<d")
 
 _KIND_WIRETYPE = {
     "int64": _WT_VARINT,
@@ -143,27 +145,16 @@ class ProtoMessage:
                    protocol: Optional[str] = None) -> M:
         """Decode a message, skipping unknown fields."""
         message = cls()
-        buf = io.BytesIO(data)
-
-        def read_exact(n: int) -> bytes:
-            chunk = buf.read(n)
-            if len(chunk) != n:
-                raise ProtocolError("truncated proto message")
-            return chunk
-
+        cursor = ByteCursor(data)
         by_number = {spec.number: spec for spec in cls.FIELDS}
-        while True:
-            probe = buf.read(1)
-            if not probe:
-                break
-            buf.seek(-1, io.SEEK_CUR)
-            tag = read_varint(read_exact)
+        while cursor.pos < len(data):
+            tag = cursor.read_varint()
             number, wire_type = tag >> 3, tag & 0x7
             spec = by_number.get(number)
             if spec is None or spec.wire_type != wire_type:
-                _skip(buf, read_exact, wire_type)
+                _skip(cursor, wire_type)
                 continue
-            value = _read_field(read_exact, spec)
+            value = _read_field(cursor, spec)
             if spec.repeated:
                 getattr(message, spec.name).append(value)
             else:
@@ -201,7 +192,7 @@ def _write_field(buf: io.BytesIO, spec: ProtoField, value: Any) -> None:
     elif kind == "bool":
         write_varint(buf, 1 if value else 0)
     elif kind == "double":
-        buf.write(_struct.pack("<d", value))
+        buf.write(_DOUBLE.pack(value))
     elif kind == "string":
         data = value.encode("utf-8")
         write_varint(buf, len(data))
@@ -215,41 +206,40 @@ def _write_field(buf: io.BytesIO, spec: ProtoField, value: Any) -> None:
         buf.write(payload)
 
 
-def _read_field(read_exact, spec: ProtoField) -> Any:
+def _read_field(cursor: ByteCursor, spec: ProtoField) -> Any:
     kind = spec.kind
     if kind in ("int64", "uint64"):
-        raw = read_varint(read_exact)
+        raw = cursor.read_varint()
         if kind == "int64" and raw >= 1 << 63:
             raw -= 1 << 64
         return raw
     if kind == "sint64":
-        return unzigzag(read_varint(read_exact))
+        return unzigzag(cursor.read_varint())
     if kind == "bool":
-        return read_varint(read_exact) != 0
+        return cursor.read_varint() != 0
     if kind == "double":
-        (value,) = _struct.unpack("<d", read_exact(8))
-        return value
+        return cursor.unpack(_DOUBLE)[0]
+    payload = cursor.read_exact(cursor.read_varint())
     if kind == "string":
-        length = read_varint(read_exact)
-        return read_exact(length).decode("utf-8")
+        try:
+            return payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError("invalid utf-8 in string field") from exc
     if kind == "bytes":
-        length = read_varint(read_exact)
-        return read_exact(length)
+        return payload
     if kind == "message":
-        length = read_varint(read_exact)
-        return spec.message_cls.from_bytes(read_exact(length))
+        return spec.message_cls.from_bytes(payload)
     raise ProtocolError(f"unreadable kind {kind}")  # pragma: no cover
 
 
-def _skip(buf: io.BytesIO, read_exact, wire_type: int) -> None:
+def _skip(cursor: ByteCursor, wire_type: int) -> None:
     if wire_type == _WT_VARINT:
-        read_varint(read_exact)
+        cursor.read_varint()
     elif wire_type == _WT_64BIT:
-        read_exact(8)
+        cursor.read_exact(8)
     elif wire_type == _WT_LENGTH:
-        length = read_varint(read_exact)
-        read_exact(length)
+        cursor.read_exact(cursor.read_varint())
     elif wire_type == _WT_32BIT:
-        read_exact(4)
+        cursor.read_exact(4)
     else:
         raise ProtocolError(f"unknown wire type {wire_type}")

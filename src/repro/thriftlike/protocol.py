@@ -9,9 +9,83 @@ from __future__ import annotations
 
 import io
 import struct as _struct
+from operator import methodcaller
 from typing import Tuple
 
 from repro.thriftlike.types import ProtocolError, TType
+
+# Fixed-width big-endian layouts, shared by both protocols.
+_I8 = _struct.Struct(">b")
+_I16 = _struct.Struct(">h")
+_I32 = _struct.Struct(">i")
+_I64 = _struct.Struct(">q")
+_DOUBLE = _struct.Struct(">d")
+_COLLECTION = _struct.Struct(">Bi")
+_MAP = _struct.Struct(">BBi")
+
+
+class ByteCursor:
+    """A read position over a bytes object.
+
+    The one place in the codebase where bytes are taken off the front of
+    a buffer: the protocol readers below are cursors, and record frames,
+    column blocks, proto messages and Scribe envelopes are read through
+    one. Every read past the end raises :class:`ProtocolError`.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    def read_u8(self) -> int:
+        """The unsigned byte at the cursor."""
+        pos = self.pos
+        try:
+            byte = self.data[pos]
+        except IndexError:
+            raise ProtocolError("truncated read: wanted 1, got 0") from None
+        self.pos = pos + 1
+        return byte
+
+    def read_exact(self, n: int) -> bytes:
+        """The next ``n`` bytes."""
+        pos = self.pos
+        chunk = self.data[pos:pos + n]
+        if len(chunk) != n:
+            raise ProtocolError(
+                f"truncated read: wanted {n}, got {len(chunk)}")
+        self.pos = pos + n
+        return chunk
+
+    def read_varint(self) -> int:
+        """The unsigned base-128 varint at the cursor."""
+        data, pos = self.data, self.pos
+        result = shift = 0
+        try:
+            while True:
+                byte = data[pos]
+                pos += 1
+                result |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    self.pos = pos
+                    return result
+                shift += 7
+                if shift > 70:
+                    raise ProtocolError("varint too long")
+        except IndexError:
+            raise ProtocolError("truncated read: wanted 1, got 0") from None
+
+    def unpack(self, layout: _struct.Struct) -> tuple:
+        """Unpack one fixed-width ``layout`` at the cursor."""
+        pos = self.pos
+        try:
+            values = layout.unpack_from(self.data, pos)
+        except _struct.error:
+            raise ProtocolError(
+                f"truncated read: wanted {layout.size}, "
+                f"got {len(self.data) - pos}") from None
+        self.pos = pos + layout.size
+        return values
 
 
 class ProtocolWriter:
@@ -41,14 +115,15 @@ class ProtocolWriter:
         """Write the end-of-struct marker."""
         raise NotImplementedError
 
-    # -- primitives --------------------------------------------------------
+    # -- primitives (bool, byte and double are encoded alike by both
+    # protocols, so they are written here) ---------------------------------
     def write_bool(self, value: bool) -> None:
         """Write a boolean value."""
-        raise NotImplementedError
+        self._buf.write(b"\x01" if value else b"\x00")
 
     def write_byte(self, value: int) -> None:
         """Write a signed 8-bit integer."""
-        raise NotImplementedError
+        self._buf.write(_I8.pack(value))
 
     def write_i16(self, value: int) -> None:
         """Write a signed 16-bit integer."""
@@ -64,7 +139,7 @@ class ProtocolWriter:
 
     def write_double(self, value: float) -> None:
         """Write a 64-bit IEEE-754 float."""
-        raise NotImplementedError
+        self._buf.write(_DOUBLE.pack(value))
 
     def write_string(self, value) -> None:
         """Write a length-prefixed string (or bytes)."""
@@ -79,24 +154,17 @@ class ProtocolWriter:
         raise NotImplementedError
 
 
-class ProtocolReader:
-    """Abstract reader over a bytes object."""
+#: Scalar wire type -> ``read(reader)``; protocol-agnostic, because each
+#: only names the reader method to call.
+SCALAR_READERS = {
+    ttype: methodcaller(f"read_{ttype.name.lower()}")
+    for ttype in (TType.BOOL, TType.BYTE, TType.I16, TType.I32, TType.I64,
+                  TType.DOUBLE, TType.STRING)
+}
 
-    def __init__(self, data: bytes) -> None:
-        self._buf = io.BytesIO(data)
 
-    def _read_exact(self, n: int) -> bytes:
-        data = self._buf.read(n)
-        if len(data) != n:
-            raise ProtocolError(f"truncated read: wanted {n}, got {len(data)}")
-        return data
-
-    def at_end(self) -> bool:
-        """True when every byte of the input has been consumed."""
-        pos = self._buf.tell()
-        more = self._buf.read(1)
-        self._buf.seek(pos)
-        return not more
+class ProtocolReader(ByteCursor):
+    """Abstract reader: a :class:`ByteCursor` that knows a wire protocol."""
 
     # -- framing -----------------------------------------------------------
     def read_struct_begin(self) -> None:
@@ -111,14 +179,15 @@ class ProtocolReader:
         """Return ``(fid, ttype)``; ttype == STOP signals end of struct."""
         raise NotImplementedError
 
-    # -- primitives --------------------------------------------------------
+    # -- primitives (bool, byte and double as the writer wrote them; a
+    # string is the protocol's binary, decoded) ----------------------------
     def read_bool(self) -> bool:
         """Read a boolean value."""
-        raise NotImplementedError
+        return self.read_u8() != 0
 
     def read_byte(self) -> int:
         """Read a signed 8-bit integer."""
-        raise NotImplementedError
+        return self.unpack(_I8)[0]
 
     def read_i16(self) -> int:
         """Read a signed 16-bit integer."""
@@ -134,11 +203,14 @@ class ProtocolReader:
 
     def read_double(self) -> float:
         """Read a 64-bit IEEE-754 float."""
-        raise NotImplementedError
+        return self.unpack(_DOUBLE)[0]
 
     def read_string(self) -> str:
         """Read a length-prefixed UTF-8 string."""
-        raise NotImplementedError
+        try:
+            return str(self.read_binary(), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError("invalid utf-8 in string field") from exc
 
     def read_binary(self) -> bytes:
         """Read a length-prefixed byte string."""
@@ -155,20 +227,10 @@ class ProtocolReader:
     # -- schema-free skipping ----------------------------------------------
     def skip(self, ttype: TType) -> None:
         """Consume and discard a value of type ``ttype``."""
-        if ttype is TType.BOOL:
-            self.read_bool()
-        elif ttype is TType.BYTE:
-            self.read_byte()
-        elif ttype is TType.I16:
-            self.read_i16()
-        elif ttype is TType.I32:
-            self.read_i32()
-        elif ttype is TType.I64:
-            self.read_i64()
-        elif ttype is TType.DOUBLE:
-            self.read_double()
-        elif ttype is TType.STRING:
-            self.read_binary()
+        if ttype is TType.STRING:
+            self.read_binary()  # any bytes: a skipped string is not decoded
+        elif ttype in SCALAR_READERS:
+            SCALAR_READERS[ttype](self)
         elif ttype is TType.STRUCT:
             self.read_struct_begin()
             while True:
@@ -204,12 +266,6 @@ class BinaryProtocolWriter(ProtocolWriter):
     def write_field_stop(self) -> None:
         self._buf.write(_struct.pack(">b", int(TType.STOP)))
 
-    def write_bool(self, value: bool) -> None:
-        self._buf.write(_struct.pack(">b", 1 if value else 0))
-
-    def write_byte(self, value: int) -> None:
-        self._buf.write(_struct.pack(">b", value))
-
     def write_i16(self, value: int) -> None:
         self._buf.write(_struct.pack(">h", value))
 
@@ -218,9 +274,6 @@ class BinaryProtocolWriter(ProtocolWriter):
 
     def write_i64(self, value: int) -> None:
         self._buf.write(_struct.pack(">q", value))
-
-    def write_double(self, value: float) -> None:
-        self._buf.write(_struct.pack(">d", value))
 
     def write_string(self, value) -> None:
         data = value.encode("utf-8") if isinstance(value, str) else value
@@ -238,61 +291,37 @@ class BinaryProtocolReader(ProtocolReader):
     """Reader matching :class:`BinaryProtocolWriter`."""
 
     def read_field(self) -> Tuple[int, TType]:
-        raw = self._read_exact(1)
-        ttype = _to_ttype(raw[0])
+        ttype = _to_ttype(self.read_u8())
         if ttype is TType.STOP:
-            return 0, TType.STOP
-        (fid,) = _struct.unpack(">h", self._read_exact(2))
-        return fid, ttype
-
-    def read_bool(self) -> bool:
-        return self._read_exact(1)[0] != 0
-
-    def read_byte(self) -> int:
-        (v,) = _struct.unpack(">b", self._read_exact(1))
-        return v
+            return 0, ttype
+        return self.unpack(_I16)[0], ttype
 
     def read_i16(self) -> int:
-        (v,) = _struct.unpack(">h", self._read_exact(2))
-        return v
+        return self.unpack(_I16)[0]
 
     def read_i32(self) -> int:
-        (v,) = _struct.unpack(">i", self._read_exact(4))
-        return v
+        return self.unpack(_I32)[0]
 
     def read_i64(self) -> int:
-        (v,) = _struct.unpack(">q", self._read_exact(8))
-        return v
-
-    def read_double(self) -> float:
-        (v,) = _struct.unpack(">d", self._read_exact(8))
-        return v
+        return self.unpack(_I64)[0]
 
     def read_binary(self) -> bytes:
-        (n,) = _struct.unpack(">i", self._read_exact(4))
+        (n,) = self.unpack(_I32)
         if n < 0:
             raise ProtocolError(f"negative string length {n}")
-        return self._read_exact(n)
-
-    def read_string(self) -> str:
-        return self.read_binary().decode("utf-8")
+        return self.read_exact(n)
 
     def read_collection_begin(self) -> Tuple[TType, int]:
-        raw = self._read_exact(5)
-        ttype = _to_ttype(raw[0])
-        (size,) = _struct.unpack(">i", raw[1:])
+        etype, size = self.unpack(_COLLECTION)
         if size < 0:
             raise ProtocolError(f"negative collection size {size}")
-        return ttype, size
+        return _to_ttype(etype), size
 
     def read_map_begin(self) -> Tuple[TType, TType, int]:
-        raw = self._read_exact(6)
-        ktype = _to_ttype(raw[0])
-        vtype = _to_ttype(raw[1])
-        (size,) = _struct.unpack(">i", raw[2:])
+        ktype, vtype, size = self.unpack(_MAP)
         if size < 0:
             raise ProtocolError(f"negative map size {size}")
-        return ktype, vtype, size
+        return _to_ttype(ktype), _to_ttype(vtype), size
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +341,6 @@ def write_varint(buf: io.BytesIO, value: int) -> None:
         else:
             buf.write(bytes((towrite,)))
             return
-
-
-def read_varint(read_exact) -> int:
-    """Decode a base-128 varint using a ``read_exact(n)`` callable."""
-    result = 0
-    shift = 0
-    while True:
-        byte = read_exact(1)[0]
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result
-        shift += 7
-        if shift > 70:
-            raise ProtocolError("varint too long")
 
 
 def zigzag(value: int) -> int:
@@ -368,23 +383,10 @@ class CompactProtocolWriter(ProtocolWriter):
     def write_field_stop(self) -> None:
         self._buf.write(b"\x00")
 
-    def write_bool(self, value: bool) -> None:
-        self._buf.write(b"\x01" if value else b"\x00")
-
-    def write_byte(self, value: int) -> None:
-        self._buf.write(_struct.pack(">b", value))
-
-    def write_i16(self, value: int) -> None:
-        write_varint(self._buf, zigzag(value))
-
-    def write_i32(self, value: int) -> None:
-        write_varint(self._buf, zigzag(value))
-
     def write_i64(self, value: int) -> None:
         write_varint(self._buf, zigzag(value))
 
-    def write_double(self, value: float) -> None:
-        self._buf.write(_struct.pack(">d", value))
+    write_i16 = write_i32 = write_i64
 
     def write_string(self, value) -> None:
         data = value.encode("utf-8") if isinstance(value, str) else value
@@ -414,7 +416,7 @@ class CompactProtocolReader(ProtocolReader):
         self._last_fid.pop()
 
     def read_field(self) -> Tuple[int, TType]:
-        header = self._read_exact(1)[0]
+        header = self.read_u8()
         if header == 0:
             return 0, TType.STOP
         ttype = _to_ttype(header & 0x0F)
@@ -422,53 +424,48 @@ class CompactProtocolReader(ProtocolReader):
         if delta:
             fid = self._last_fid[-1] + delta
         else:
-            fid = unzigzag(read_varint(self._read_exact))
+            fid = self.read_i64()
         self._last_fid[-1] = fid
         return fid, ttype
 
-    def read_bool(self) -> bool:
-        return self._read_exact(1)[0] != 0
-
-    def read_byte(self) -> int:
-        (v,) = _struct.unpack(">b", self._read_exact(1))
-        return v
-
-    def read_i16(self) -> int:
-        return unzigzag(read_varint(self._read_exact))
-
-    def read_i32(self) -> int:
-        return unzigzag(read_varint(self._read_exact))
-
     def read_i64(self) -> int:
-        return unzigzag(read_varint(self._read_exact))
+        return unzigzag(self.read_varint())
 
-    def read_double(self) -> float:
-        (v,) = _struct.unpack(">d", self._read_exact(8))
-        return v
+    read_i16 = read_i32 = read_i64
 
     def read_binary(self) -> bytes:
-        n = read_varint(self._read_exact)
-        return self._read_exact(n)
-
-    def read_string(self) -> str:
-        return self.read_binary().decode("utf-8")
+        # ``read_exact(read_varint())`` with both calls folded in for the
+        # common one-byte length: strings are most of what a log event is.
+        data, pos = self.data, self.pos
+        if pos < len(data) and (n := data[pos]) < 0x80:
+            pos += 1
+        else:
+            n, pos = self.read_varint(), self.pos
+        chunk = data[pos:pos + n]
+        if len(chunk) != n:
+            raise ProtocolError(
+                f"truncated read: wanted {n}, got {len(chunk)}")
+        self.pos = pos + n
+        return chunk
 
     def read_collection_begin(self) -> Tuple[TType, int]:
-        ttype = _to_ttype(self._read_exact(1)[0])
-        size = read_varint(self._read_exact)
-        return ttype, size
+        ttype = _to_ttype(self.read_u8())
+        return ttype, self.read_varint()
 
     def read_map_begin(self) -> Tuple[TType, TType, int]:
-        raw = self._read_exact(2)
-        size = read_varint(self._read_exact)
-        return _to_ttype(raw[0]), _to_ttype(raw[1]), size
+        ktype, vtype = self.read_u8(), self.read_u8()
+        size = self.read_varint()
+        return _to_ttype(ktype), _to_ttype(vtype), size
+
+
+_TTYPES = {int(ttype): ttype for ttype in TType}
 
 
 def _to_ttype(raw: int) -> TType:
     try:
-        return TType(raw)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown wire type {raw}") from exc
+        return _TTYPES[raw]
+    except KeyError:
+        raise ProtocolError(f"unknown wire type {raw}") from None
 
 
 PROTOCOLS = {

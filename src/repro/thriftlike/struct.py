@@ -10,9 +10,10 @@ paper relies on for letting log messages "gradually evolve over time".
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, NamedTuple, Tuple, Type, TypeVar
 
 from repro.thriftlike.protocol import (
+    SCALAR_READERS,
     ProtocolReader,
     ProtocolWriter,
     reader_for,
@@ -22,10 +23,23 @@ from repro.thriftlike.types import (
     FieldSpec,
     TType,
     ValidationError,
-    check_value,
+    compile_checker,
 )
 
 T = TypeVar("T", bound="ThriftStruct")
+
+ValueReader = Callable[[ProtocolReader], Any]
+
+
+class _Plan(NamedTuple):
+    """What ``read`` and ``validate`` need, resolved once per class:
+    ``fid -> (name, wire type, value reader)``, and in declaration order
+    the ``(name, default, default is a factory)`` and ``(name, required,
+    checker)`` triples."""
+
+    fields: Dict[int, Tuple[str, TType, ValueReader]]
+    defaults: Tuple[Tuple[str, Any, bool], ...]
+    checks: Tuple[Tuple[str, bool, Callable[[Any], None]], ...]
 
 
 class ThriftStruct:
@@ -70,25 +84,32 @@ class ThriftStruct:
         return cached
 
     @classmethod
-    def fid_map(cls) -> Dict[int, FieldSpec]:
-        """field id -> :class:`FieldSpec` for this struct class."""
-        cached = cls.__dict__.get("_fid_map")
-        if cached is None:
-            cached = {spec.fid: spec for spec in cls.FIELDS}
-            cls._fid_map = cached
-        return cached
+    def _plan(cls) -> _Plan:
+        """This class's compiled read/validate plan (built on first use and
+        kept in the class ``__dict__``, so a subclass compiles its own)."""
+        plan = cls.__dict__.get("_compiled_plan")
+        if plan is None:
+            specs = cls.field_map().values()
+            plan = cls._compiled_plan = _Plan(
+                fields={spec.fid: (spec.name, spec.ttype,
+                                   _compile_reader(spec)) for spec in specs},
+                defaults=tuple((spec.name, spec.default,
+                                callable(spec.default)) for spec in specs),
+                checks=tuple((spec.name, spec.required,
+                              compile_checker(spec)) for spec in specs))
+        return plan
 
     def validate(self) -> None:
         """Check required fields are set and values match declared types."""
-        for spec in self.FIELDS:
-            value = getattr(self, spec.name)
+        for name, required, check in self._plan().checks:
+            value = getattr(self, name)
             if value is None:
-                if spec.required:
+                if required:
                     raise ValidationError(
-                        f"{type(self).__name__}.{spec.name} is required"
+                        f"{type(self).__name__}.{name} is required"
                     )
-                continue
-            check_value(spec, value)
+            else:
+                check(value)
 
     # -- serialization ---------------------------------------------------
     def write(self, writer: ProtocolWriter) -> None:
@@ -113,19 +134,25 @@ class ThriftStruct:
     @classmethod
     def read(cls: Type[T], reader: ProtocolReader) -> T:
         """Read a struct from a protocol reader, skipping unknown fields."""
-        obj = cls()
-        fid_map = cls.fid_map()
+        plan = cls._plan()
+        obj = cls.__new__(cls)
+        # What ``cls()`` would set, without ``__init__``'s keyword checks.
+        # ``setattr`` rather than filling ``__dict__``: it keeps instances
+        # on the interpreter's shared-key, no-dict-object layout.
+        for name, default, is_factory in plan.defaults:
+            setattr(obj, name, default() if is_factory else default)
+        fields = plan.fields
         reader.read_struct_begin()
         while True:
             fid, ttype = reader.read_field()
             if ttype is TType.STOP:
                 break
-            spec = fid_map.get(fid)
-            if spec is None or spec.ttype is not ttype:
+            field = fields.get(fid)
+            if field is None or field[1] is not ttype:
                 # Unknown or retyped field: skip for forward compatibility.
                 reader.skip(ttype)
-                continue
-            setattr(obj, spec.name, _read_value(reader, spec))
+            else:
+                setattr(obj, field[0], field[2](reader))
         reader.read_struct_end()
         obj.validate()
         return obj
@@ -226,42 +253,44 @@ def _write_value(writer: ProtocolWriter, spec: FieldSpec, value: Any) -> None:
         raise ValidationError(f"unsupported type {ttype}")
 
 
-def _read_value(reader: ProtocolReader, spec: FieldSpec) -> Any:
+def _compile_reader(spec: FieldSpec) -> ValueReader:
+    """Compose ``read(reader) -> value`` for one declared field.
+
+    The type dispatch happens here, once per class; the result only calls
+    reader *methods*, so binary and compact share it. Containers keep the
+    evolution rule: when the element type on the wire is not the declared
+    one, each element is skipped and the container comes back empty.
+    """
     ttype = spec.ttype
-    if ttype is TType.BOOL:
-        return reader.read_bool()
-    if ttype is TType.BYTE:
-        return reader.read_byte()
-    if ttype is TType.I16:
-        return reader.read_i16()
-    if ttype is TType.I32:
-        return reader.read_i32()
-    if ttype is TType.I64:
-        return reader.read_i64()
-    if ttype is TType.DOUBLE:
-        return reader.read_double()
-    if ttype is TType.STRING:
-        return reader.read_string()
+    if ttype in SCALAR_READERS:
+        return SCALAR_READERS[ttype]
     if ttype is TType.STRUCT:
-        return spec.struct_cls.read(reader)
-    if ttype in (TType.LIST, TType.SET):
-        etype, size = reader.read_collection_begin()
-        items = []
-        for __ in range(size):
-            if etype is spec.value.ttype:
-                items.append(_read_value(reader, spec.value))
-            else:
-                reader.skip(etype)
-        return set(items) if ttype is TType.SET else items
+        return spec.struct_cls.read
+    read_item = _compile_reader(spec.value)
     if ttype is TType.MAP:
-        ktype, vtype, size = reader.read_map_begin()
-        out = {}
-        for __ in range(size):
-            if ktype is spec.key.ttype and vtype is spec.value.ttype:
-                key = _read_value(reader, spec.key)
-                out[key] = _read_value(reader, spec.value)
-            else:
+        read_key = _compile_reader(spec.key)
+        key_type, item_type = spec.key.ttype, spec.value.ttype
+
+        def read_map(reader: ProtocolReader) -> dict:
+            ktype, vtype, size = reader.read_map_begin()
+            if ktype is key_type and vtype is item_type:
+                return {read_key(reader): read_item(reader)
+                        for __ in range(size)}
+            for __ in range(size):
                 reader.skip(ktype)
                 reader.skip(vtype)
-        return out
-    raise ValidationError(f"unsupported type {ttype}")  # pragma: no cover
+            return {}
+        return read_map
+
+    item_type, as_set = spec.value.ttype, ttype is TType.SET
+
+    def read_collection(reader: ProtocolReader) -> Any:
+        etype, size = reader.read_collection_begin()
+        if etype is item_type:
+            items = [read_item(reader) for __ in range(size)]
+        else:
+            items = []
+            for __ in range(size):
+                reader.skip(etype)
+        return set(items) if as_set else items
+    return read_collection

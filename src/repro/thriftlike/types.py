@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 
 class TType(enum.IntEnum):
@@ -146,3 +146,55 @@ def check_value(spec: FieldSpec, value: Any) -> None:
             check_value(spec.value, v)
     else:  # pragma: no cover - exhaustive over TType
         raise ValidationError(f"{spec.name}: unsupported type {ttype}")
+
+
+_EXACT_TYPE = {TType.BOOL: bool, TType.DOUBLE: float, TType.STRING: str,
+               TType.LIST: list, TType.SET: set, TType.MAP: dict}
+
+
+def compile_checker(spec: FieldSpec) -> Callable[[Any], None]:
+    """Resolve ``spec``'s type dispatch once; return ``check(value)``.
+
+    The checker accepts what :func:`check_value` accepts and raises what
+    it raises. It passes the exact common case itself -- a plain ``int``
+    in range, a plain ``str``, a ``dict`` / ``list`` / ``set`` whose
+    members pass their own compiled checkers -- and hands everything else
+    (subclasses, ``bytes`` for STRING, a ``tuple`` for LIST, every
+    rejection) to :func:`check_value`, the one source of the rules and of
+    the error messages.
+    """
+    ttype = spec.ttype
+    if ttype in _INT_TYPES:
+        lo, hi = _INT_BOUNDS[ttype]
+
+        def check(value: Any) -> None:
+            if type(value) is not int or not lo <= value <= hi:
+                check_value(spec, value)
+        return check
+
+    exact = spec.struct_cls if ttype is TType.STRUCT else _EXACT_TYPE[ttype]
+    if ttype is TType.MAP:
+        check_key = compile_checker(spec.key)
+        check_item = compile_checker(spec.value)
+
+        def check(value: Any) -> None:
+            if type(value) is not dict:
+                check_value(spec, value)
+            else:
+                for key, item in value.items():
+                    check_key(key)
+                    check_item(item)
+    elif ttype in (TType.LIST, TType.SET):
+        check_item = compile_checker(spec.value)
+
+        def check(value: Any) -> None:
+            if type(value) is not exact:
+                check_value(spec, value)
+            else:
+                for item in value:
+                    check_item(item)
+    else:
+        def check(value: Any) -> None:
+            if type(value) is not exact:
+                check_value(spec, value)
+    return check

@@ -26,11 +26,12 @@ import io
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.thriftlike.protocol import (
-    read_varint,
+    ByteCursor,
     unzigzag,
     write_varint,
     zigzag,
 )
+from repro.thriftlike.types import ProtocolError
 
 __all__ = ["ENCODINGS", "encode_block", "decode_block", "dict_block_values"]
 
@@ -47,18 +48,6 @@ def _unpack_bits(data: bytes, count: int) -> List[bool]:
     return [bool(data[i // 8] >> (i % 8) & 1) for i in range(count)]
 
 
-def _reader(data: bytes):
-    stream = io.BytesIO(data)
-
-    def read_exact(count: int) -> bytes:
-        chunk = stream.read(count)
-        if len(chunk) != count:
-            raise ValueError("truncated column block")
-        return chunk
-
-    return read_exact
-
-
 # -- payload codecs over the *present* values ----------------------------
 
 def _encode_varint(buf: io.BytesIO, values: Sequence[int]) -> None:
@@ -66,8 +55,8 @@ def _encode_varint(buf: io.BytesIO, values: Sequence[int]) -> None:
         write_varint(buf, zigzag(value))
 
 
-def _decode_varint(read_exact, count: int) -> List[int]:
-    return [unzigzag(read_varint(read_exact)) for _ in range(count)]
+def _decode_varint(cursor: ByteCursor, count: int) -> List[int]:
+    return [unzigzag(cursor.read_varint()) for _ in range(count)]
 
 
 _I64_MASK = (1 << 64) - 1
@@ -88,11 +77,11 @@ def _encode_delta(buf: io.BytesIO, values: Sequence[int]) -> None:
         previous = value
 
 
-def _decode_delta(read_exact, count: int) -> List[int]:
+def _decode_delta(cursor: ByteCursor, count: int) -> List[int]:
     out: List[int] = []
     previous = 0
     for i in range(count):
-        step = unzigzag(read_varint(read_exact))
+        step = unzigzag(cursor.read_varint())
         previous = step if i == 0 else _wrap_i64(previous + step)
         out.append(previous)
     return out
@@ -104,9 +93,8 @@ def _write_string(buf: io.BytesIO, value: str) -> None:
     buf.write(raw)
 
 
-def _read_string(read_exact) -> str:
-    length = read_varint(read_exact)
-    return read_exact(length).decode("utf-8")
+def _read_string(cursor: ByteCursor) -> str:
+    return cursor.read_exact(cursor.read_varint()).decode("utf-8")
 
 
 def _encode_plain(buf: io.BytesIO, values: Sequence[str]) -> None:
@@ -114,8 +102,8 @@ def _encode_plain(buf: io.BytesIO, values: Sequence[str]) -> None:
         _write_string(buf, value)
 
 
-def _decode_plain(read_exact, count: int) -> List[str]:
-    return [_read_string(read_exact) for _ in range(count)]
+def _decode_plain(cursor: ByteCursor, count: int) -> List[str]:
+    return [_read_string(cursor) for _ in range(count)]
 
 
 def _encode_dict(buf: io.BytesIO, values: Sequence[str]) -> None:
@@ -130,18 +118,17 @@ def _encode_dict(buf: io.BytesIO, values: Sequence[str]) -> None:
         write_varint(buf, symbols[value])
 
 
-def _decode_dict(read_exact, count: int) -> List[str]:
-    size = read_varint(read_exact)
-    table = [_read_string(read_exact) for _ in range(size)]
-    return [table[read_varint(read_exact)] for _ in range(count)]
+def _decode_dict(cursor: ByteCursor, count: int) -> List[str]:
+    table = _decode_plain(cursor, cursor.read_varint())
+    return [table[cursor.read_varint()] for _ in range(count)]
 
 
 def _encode_bool(buf: io.BytesIO, values: Sequence[bool]) -> None:
     buf.write(_pack_bits([bool(v) for v in values]))
 
 
-def _decode_bool(read_exact, count: int) -> List[bool]:
-    return _unpack_bits(read_exact(-(-count // 8)), count)
+def _decode_bool(cursor: ByteCursor, count: int) -> List[bool]:
+    return _unpack_bits(cursor.read_exact(-(-count // 8)), count)
 
 
 _Codec = Tuple[Callable[..., None], Callable[..., list]]
@@ -175,25 +162,34 @@ def encode_block(encoding: str, values: Sequence) -> bytes:
     return buf.getvalue()
 
 
+def _block_header(data: bytes) -> Tuple[ByteCursor, int, Optional[bytes]]:
+    """``(cursor at the payload, value count, presence bitmap or None)``."""
+    cursor = ByteCursor(data)
+    count = cursor.read_varint()
+    if cursor.read_u8() == 0:
+        return cursor, count, None
+    return cursor, count, cursor.read_exact(-(-count // 8))
+
+
 def decode_block(encoding: str, data: bytes) -> list:
     """Inverse of :func:`encode_block`; nulls come back as ``None``."""
     _, decode = ENCODINGS[encoding]
-    read_exact = _reader(data)
-    count = read_varint(read_exact)
-    has_nulls = read_exact(1) != b"\x00"
-    if not has_nulls:
-        return decode(read_exact, count)
-    present = _unpack_bits(read_exact(-(-count // 8)), count)
-    compact = iter(decode(read_exact, sum(present)))
+    try:
+        cursor, count, bitmap = _block_header(data)
+        if bitmap is None:
+            return decode(cursor, count)
+        present = _unpack_bits(bitmap, count)
+        compact = iter(decode(cursor, sum(present)))
+    except ProtocolError as exc:
+        raise ValueError("truncated column block") from exc
     return [next(compact) if flag else None for flag in present]
 
 
 def dict_block_values(data: bytes) -> Optional[List[str]]:
     """The dictionary of a ``dict``-encoded block, without decoding the
     value indexes -- lets predicate checks peek at block vocabulary."""
-    read_exact = _reader(data)
-    count = read_varint(read_exact)
-    if read_exact(1) != b"\x00":
-        read_exact(-(-count // 8))
-    size = read_varint(read_exact)
-    return [_read_string(read_exact) for _ in range(size)]
+    try:
+        cursor = _block_header(data)[0]
+        return _decode_plain(cursor, cursor.read_varint())
+    except ProtocolError as exc:
+        raise ValueError("truncated column block") from exc

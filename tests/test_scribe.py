@@ -19,12 +19,16 @@ from repro.scribe.discovery import (
     registration_path,
 )
 from repro.scribe.message import (
+    ENVELOPE_MAGIC,
     CategoryConfig,
     CategoryRegistry,
     InvalidCategoryError,
     LogEntry,
+    decode_envelope,
+    encode_envelope,
 )
 from repro.scribe.zookeeper import ZooKeeper
+from repro.thriftlike.types import ProtocolError
 
 
 class TestLogEntry:
@@ -65,6 +69,40 @@ class TestMessageFraming:
         messages = [b"a", b"bb", b""]
         # empty messages are encodable (mover checks reject them later)
         assert decode_messages(encode_messages(messages)) == messages
+
+
+class TestEnvelope:
+    def test_roundtrip_and_legacy_frames(self):
+        wire = encode_envelope("dc1-host-07", 300, b"\x00payload")
+        assert decode_envelope(wire) == ("dc1-host-07", 300, b"\x00payload")
+        assert decode_envelope(encode_envelope("h", 0, b"")) == ("h", 0, b"")
+        # No magic: delivered verbatim, whatever the bytes look like.
+        assert decode_envelope(b"plain") == (None, None, b"plain")
+        assert decode_envelope(ENVELOPE_MAGIC[:-1]) == (
+            None, None, ENVELOPE_MAGIC[:-1])
+
+    @pytest.mark.parametrize("tail", [
+        b"",            # ends before the origin length
+        b"\x85",        # ends inside the origin length varint
+        b"\x05ab",      # origin shorter than its length, nothing after
+        b"\x02ab",      # whole origin, no seq
+        b"\x02ab\x80",  # ends inside the seq varint
+    ])
+    def test_truncated_envelope_is_a_protocol_error(self, tail):
+        with pytest.raises(ProtocolError, match="envelope"):
+            decode_envelope(ENVELOPE_MAGIC + tail)
+
+    def test_short_origin_is_not_passed_off_as_whole(self):
+        """Origin length says 5, three bytes follow: the parent returned
+        the three as the origin whenever a seq byte happened to be next."""
+        with pytest.raises(ProtocolError, match="envelope"):
+            decode_envelope(ENVELOPE_MAGIC + b"\x05abc")
+
+    def test_every_prefix_of_an_envelope_header_is_rejected(self):
+        wire = encode_envelope("origin-host", 2 ** 40, b"")
+        for cut in range(len(ENVELOPE_MAGIC), len(wire)):
+            with pytest.raises(ProtocolError, match="envelope"):
+                decode_envelope(wire[:cut])
 
 
 class TestDiscovery:

@@ -107,6 +107,13 @@ class TestForwardCompatibility:
         decoded = PointStr.from_bytes(Point(x=9).to_bytes())
         assert decoded.x == ""  # varint 'x' skipped, not misread
 
+    def test_invalid_utf8_string_is_a_protocol_error(self):
+        data = Everything(blob=b"\xff\xfe").to_bytes()
+        assert Everything.from_bytes(data).blob == b"\xff\xfe"
+        retagged = bytes([(6 << 3) | 2]) + data[1:]  # same bytes as "text"
+        with pytest.raises(ProtocolError, match="invalid utf-8"):
+            Everything.from_bytes(retagged)
+
     def test_truncated_message(self):
         data = Everything(text="hello").to_bytes()[:-2]
         with pytest.raises(ProtocolError):

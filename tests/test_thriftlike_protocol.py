@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.thriftlike.protocol import (
+    ByteCursor,
     BinaryProtocolReader,
     BinaryProtocolWriter,
     CompactProtocolReader,
     CompactProtocolWriter,
-    read_varint,
     reader_for,
     unzigzag,
     write_varint,
@@ -71,6 +71,17 @@ class TestPrimitives:
         writer.write_string(b"\x00\xff\x01binary")
         reader = reader_for(protocol, writer.getvalue())
         assert reader.read_binary() == b"\x00\xff\x01binary"
+
+    def test_invalid_utf8_string_is_a_protocol_error(self, protocol):
+        writer = writer_for(protocol)
+        writer.write_string(b"caf\xe9")  # latin-1, not UTF-8
+        data = writer.getvalue()
+        with pytest.raises(ProtocolError, match="invalid utf-8") as caught:
+            reader_for(protocol, data).read_string()
+        assert isinstance(caught.value.__cause__, UnicodeDecodeError)
+        # Opaque bytes are not text: read_binary and skip take them as is.
+        assert reader_for(protocol, data).read_binary() == b"caf\xe9"
+        reader_for(protocol, data).skip(TType.STRING)
 
     def test_truncated_read_raises(self, protocol):
         writer = writer_for(protocol)
@@ -190,14 +201,16 @@ class TestVarintZigzag:
         buf = io.BytesIO()
         write_varint(buf, value)
         data = buf.getvalue()
-        pos = [0]
+        cursor = ByteCursor(b"\x00" + data + b"\xff")
+        cursor.pos = 1
+        assert cursor.read_varint() == value
+        assert cursor.pos == 1 + len(data)
+        with pytest.raises(ProtocolError):
+            ByteCursor(data[:-1]).read_varint()
 
-        def read_exact(n):
-            chunk = data[pos[0]:pos[0] + n]
-            pos[0] += n
-            return chunk
-
-        assert read_varint(read_exact) == value
+    def test_varint_longer_than_ten_bytes_rejected(self):
+        with pytest.raises(ProtocolError, match="too long"):
+            ByteCursor(b"\xff" * 11 + b"\x00").read_varint()
 
     @given(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1))
     def test_zigzag_roundtrip(self, value):

@@ -107,7 +107,7 @@ class TestValidation:
                       FieldSpec(1, "y", TType.I32))
 
         with pytest.raises(ValidationError):
-            Bad2().fid_map()
+            Bad2()
 
     def test_callable_default_is_evaluated(self):
         class WithDefault(ThriftStruct):
