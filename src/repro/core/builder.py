@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.dictionary import EventDictionary
 from repro.core.event import CLIENT_EVENTS_CATEGORY, ClientEvent
@@ -119,9 +119,13 @@ class SessionSequenceBuilder:
     def build_histogram(self, year: int, month: int,
                         day: int) -> Tuple[Counter, Dict[str, List[dict]]]:
         """Scan the day's logs; return event counts and per-event samples."""
+        return self._histogram(self.iter_day_events(year, month, day))
+
+    def _histogram(self, events: Iterable[ClientEvent]
+                   ) -> Tuple[Counter, Dict[str, List[dict]]]:
         counts: Counter = Counter()
         samples: Dict[str, List[dict]] = {}
-        for event in self.iter_day_events(year, month, day):
+        for event in events:
             counts[event.event_name] += 1
             bucket = samples.setdefault(event.event_name, [])
             if len(bucket) < self._samples_per_event:
@@ -149,7 +153,9 @@ class SessionSequenceBuilder:
             return self._run_mapreduce(year, month, day, tracker,
                                        backend=backend,
                                        max_workers=max_workers)
-        counts, samples = self.build_histogram(year, month, day)
+        # One decode of the day feeds both passes.
+        events = list(self.iter_day_events(year, month, day))
+        counts, samples = self._histogram(events)
         dictionary = EventDictionary.from_histogram(counts)
 
         known = catalog_day_path(year, month, day)
@@ -166,7 +172,6 @@ class SessionSequenceBuilder:
                                overwrite=True)
 
         # Second pass: reconstruct sessions and encode them.
-        events = list(self.iter_day_events(year, month, day))
         sessions = self._sessionizer.sessionize(events)
         records = [SessionSequenceRecord.from_session(s, dictionary)
                    for s in sessions]
@@ -235,11 +240,7 @@ class SessionSequenceBuilder:
             combiner=_sum_reducer), tracker,
             backend=backend, max_workers=max_workers)
         counts = Counter(dict(histogram_result.output))
-        samples: Dict[str, List[dict]] = {}
-        for event in self.iter_day_events(year, month, day):
-            bucket = samples.setdefault(event.event_name, [])
-            if len(bucket) < self._samples_per_event:
-                bucket.append(event.to_dict())
+        __, samples = self.build_histogram(year, month, day)
         dictionary = EventDictionary.from_histogram(counts)
 
         known = catalog_day_path(year, month, day)

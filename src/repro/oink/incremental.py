@@ -59,6 +59,7 @@ from repro.oink.rollups import (
     rollup_tables,
 )
 from repro.scribe.aggregator import decode_messages
+from repro.thriftlike.types import ThriftError
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +84,9 @@ class ClosedSession:
     #: The day the session is attributed to: the day of its *first*
     #: event. Exactly one day per closed session, by construction.
     date: Date
+    #: The run's identity when it closed (see :func:`session_signature`).
+    signature: Tuple[bytes, ...] = field(default=(), compare=False,
+                                         repr=False)
 
     @property
     def key(self) -> SessionKey:
@@ -90,17 +94,22 @@ class ClosedSession:
         return (self.session.user_id, self.session.session_id)
 
 
-def session_signature(events: Sequence[ClientEvent]) -> Tuple[bytes, ...]:
+#: An event beside its identity: the ``to_bytes()`` computed at ingest.
+_Identified = Tuple[ClientEvent, bytes]
+
+
+def session_signature(run: Sequence[_Identified]) -> Tuple[bytes, ...]:
     """Order-sensitive identity of one session's event run."""
-    return tuple(event.to_bytes() for event in events)
+    return tuple(identity for __, identity in run)
 
 
 @dataclass
 class _KeyState:
     """Everything known about one ``(user id, session id)`` group."""
 
-    #: Every event ever observed for the key, kept timestamp-sorted.
-    events: List[ClientEvent] = field(default_factory=list)
+    #: Every event ever observed for the key, each beside its identity,
+    #: kept timestamp-sorted.
+    events: List[_Identified] = field(default_factory=list)
     #: Payload identities, to drop exact duplicates on ingest.
     seen: Set[bytes] = field(default_factory=set)
     #: Signatures of the runs already emitted as closed, in run order.
@@ -116,6 +125,10 @@ class IncrementalSessionizer:
     bytes are dropped) and move time forward with :meth:`advance`. The
     class never discards an event: late data re-splits its whole key, so
     a correction is always exact, not approximated.
+
+    An event's identity is computed once, at ingest, and kept beside
+    the event: re-splitting a key, comparing its runs with what was
+    emitted and retracting a session never encode anything again.
     """
 
     def __init__(self,
@@ -138,7 +151,9 @@ class IncrementalSessionizer:
 
     # -- feeding ---------------------------------------------------------
     def ingest(self, events: Iterable[ClientEvent]) -> int:
-        """Add events to their keys; returns how many were new."""
+        """Add events to their keys; returns how many were new.
+
+        The one place an event is encoded: its bytes are its identity."""
         new = 0
         for event in events:
             key = (event.user_id, event.session_id)
@@ -147,7 +162,7 @@ class IncrementalSessionizer:
             if identity in state.seen:
                 continue
             state.seen.add(identity)
-            state.events.append(event)
+            state.events.append((event, identity))
             self._dirty.add(key)
             new += 1
         return new
@@ -189,16 +204,16 @@ class IncrementalSessionizer:
                 for date, rows in sorted(self._closed_by_day.items())}
 
     # -- internals -------------------------------------------------------
-    def _split_runs(self, state: _KeyState) -> List[List[ClientEvent]]:
-        state.events.sort(key=lambda e: e.timestamp)
-        runs: List[List[ClientEvent]] = []
-        current: List[ClientEvent] = []
-        for event in state.events:
-            if current and (event.timestamp - current[-1].timestamp
+    def _split_runs(self, state: _KeyState) -> List[List[_Identified]]:
+        state.events.sort(key=lambda pair: pair[0].timestamp)
+        runs: List[List[_Identified]] = []
+        current: List[_Identified] = []
+        for pair in state.events:
+            if current and (pair[0].timestamp - current[-1][0].timestamp
                             > self.inactivity_gap_ms):
                 runs.append(current)
                 current = []
-            current.append(event)
+            current.append(pair)
         if current:
             runs.append(current)
         return runs
@@ -233,13 +248,14 @@ class IncrementalSessionizer:
         # Close runs the watermark has passed, strictly in order.
         closed_now: List[ClosedSession] = []
         for run in runs[len(state.emitted):]:
-            if run[-1].timestamp + self.inactivity_gap_ms > watermark_ms:
+            if run[-1][0].timestamp + self.inactivity_gap_ms > watermark_ms:
                 break
             session = Session(user_id=key[0], session_id=key[1],
-                              events=list(run))
+                              events=[event for event, __ in run])
             closed = ClosedSession(
-                session=session, date=date_of_millis(session.start))
-            state.emitted.append(session_signature(run))
+                session=session, date=date_of_millis(session.start),
+                signature=session_signature(run))
+            state.emitted.append(closed.signature)
             self._closed.append(closed)
             self._closed_by_day.setdefault(closed.date, []).append(closed)
             closed_now.append(closed)
@@ -260,8 +276,7 @@ class IncrementalSessionizer:
 
         def stands(closed: ClosedSession) -> bool:
             return not (closed.key == key
-                        and session_signature(closed.session.events)
-                        in retracted_sigs)
+                        and closed.signature in retracted_sigs)
 
         self._closed = [c for c in self._closed if stands(c)]
         for date in list(self._closed_by_day):
@@ -412,7 +427,7 @@ class IncrementalPipeline:
             return None
         try:
             decoded = [(p, ClientEvent.from_bytes(p)) for p in payloads]
-        except Exception as exc:
+        except ThriftError as exc:
             logger.warning("incremental fold skipped for %s: "
                            "undecodable client event (%s)", hour, exc)
             return None

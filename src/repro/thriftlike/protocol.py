@@ -20,8 +20,13 @@ _I16 = _struct.Struct(">h")
 _I32 = _struct.Struct(">i")
 _I64 = _struct.Struct(">q")
 _DOUBLE = _struct.Struct(">d")
+_FIELD = _struct.Struct(">Bh")
 _COLLECTION = _struct.Struct(">Bi")
 _MAP = _struct.Struct(">BBi")
+
+#: Every one-byte ``bytes``, by value: what a writer emits for a wire
+#: type, a short-form field header or a varint below 128.
+_BYTE = [bytes((value,)) for value in range(256)]
 
 
 class ByteCursor:
@@ -93,6 +98,7 @@ class ProtocolWriter:
 
     def __init__(self) -> None:
         self._buf = io.BytesIO()
+        self._write = self._buf.write
 
     def getvalue(self) -> bytes:
         """Return the bytes written so far."""
@@ -119,11 +125,11 @@ class ProtocolWriter:
     # protocols, so they are written here) ---------------------------------
     def write_bool(self, value: bool) -> None:
         """Write a boolean value."""
-        self._buf.write(b"\x01" if value else b"\x00")
+        self._write(b"\x01" if value else b"\x00")
 
     def write_byte(self, value: int) -> None:
         """Write a signed 8-bit integer."""
-        self._buf.write(_I8.pack(value))
+        self._write(_I8.pack(value))
 
     def write_i16(self, value: int) -> None:
         """Write a signed 16-bit integer."""
@@ -139,7 +145,7 @@ class ProtocolWriter:
 
     def write_double(self, value: float) -> None:
         """Write a 64-bit IEEE-754 float."""
-        self._buf.write(_DOUBLE.pack(value))
+        self._write(_DOUBLE.pack(value))
 
     def write_string(self, value) -> None:
         """Write a length-prefixed string (or bytes)."""
@@ -160,6 +166,18 @@ SCALAR_READERS = {
     ttype: methodcaller(f"read_{ttype.name.lower()}")
     for ttype in (TType.BOOL, TType.BYTE, TType.I16, TType.I32, TType.I64,
                   TType.DOUBLE, TType.STRING)
+}
+
+
+#: Scalar wire type -> ``write(writer, value)``, the write-side twin.
+SCALAR_WRITERS = {
+    TType.BOOL: lambda writer, value: writer.write_bool(value),
+    TType.BYTE: lambda writer, value: writer.write_byte(value),
+    TType.I16: lambda writer, value: writer.write_i16(value),
+    TType.I32: lambda writer, value: writer.write_i32(value),
+    TType.I64: lambda writer, value: writer.write_i64(value),
+    TType.DOUBLE: lambda writer, value: writer.write_double(float(value)),
+    TType.STRING: lambda writer, value: writer.write_string(value),
 }
 
 
@@ -261,30 +279,29 @@ class BinaryProtocolWriter(ProtocolWriter):
     """Fixed-width big-endian encoding (Thrift's TBinaryProtocol)."""
 
     def write_field(self, fid: int, ttype: TType) -> None:
-        self._buf.write(_struct.pack(">bh", int(ttype), fid))
+        self._write(_FIELD.pack(ttype, fid))
 
     def write_field_stop(self) -> None:
-        self._buf.write(_struct.pack(">b", int(TType.STOP)))
+        self._write(b"\x00")
 
     def write_i16(self, value: int) -> None:
-        self._buf.write(_struct.pack(">h", value))
+        self._write(_I16.pack(value))
 
     def write_i32(self, value: int) -> None:
-        self._buf.write(_struct.pack(">i", value))
+        self._write(_I32.pack(value))
 
     def write_i64(self, value: int) -> None:
-        self._buf.write(_struct.pack(">q", value))
+        self._write(_I64.pack(value))
 
     def write_string(self, value) -> None:
         data = value.encode("utf-8") if isinstance(value, str) else value
-        self._buf.write(_struct.pack(">i", len(data)))
-        self._buf.write(data)
+        self._write(_I32.pack(len(data)) + data)
 
     def write_collection_begin(self, ttype: TType, size: int) -> None:
-        self._buf.write(_struct.pack(">bi", int(ttype), size))
+        self._write(_COLLECTION.pack(ttype, size))
 
     def write_map_begin(self, ktype: TType, vtype: TType, size: int) -> None:
-        self._buf.write(_struct.pack(">bbi", int(ktype), int(vtype), size))
+        self._write(_MAP.pack(ktype, vtype, size))
 
 
 class BinaryProtocolReader(ProtocolReader):
@@ -330,17 +347,18 @@ class BinaryProtocolReader(ProtocolReader):
 
 
 def write_varint(buf: io.BytesIO, value: int) -> None:
-    """Encode an unsigned integer as a base-128 varint."""
+    """Encode an unsigned integer as a base-128 varint, in one write."""
+    if 0 <= value < 0x80:
+        buf.write(_BYTE[value])
+        return
     if value < 0:
         raise ProtocolError("varint value must be non-negative")
-    while True:
-        towrite = value & 0x7F
+    encoded = bytearray()
+    while value > 0x7F:
+        encoded.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            buf.write(bytes((towrite | 0x80,)))
-        else:
-            buf.write(bytes((towrite,)))
-            return
+    encoded.append(value)
+    buf.write(encoded)
 
 
 def zigzag(value: int) -> int:
@@ -374,14 +392,14 @@ class CompactProtocolWriter(ProtocolWriter):
     def write_field(self, fid: int, ttype: TType) -> None:
         delta = fid - self._last_fid[-1]
         if 0 < delta <= 15:
-            self._buf.write(bytes(((delta << 4) | int(ttype),)))
+            self._write(_BYTE[delta << 4 | ttype])
         else:
-            self._buf.write(bytes((int(ttype),)))
+            self._write(_BYTE[ttype])
             write_varint(self._buf, zigzag(fid))
         self._last_fid[-1] = fid
 
     def write_field_stop(self) -> None:
-        self._buf.write(b"\x00")
+        self._write(b"\x00")
 
     def write_i64(self, value: int) -> None:
         write_varint(self._buf, zigzag(value))
@@ -389,16 +407,21 @@ class CompactProtocolWriter(ProtocolWriter):
     write_i16 = write_i32 = write_i64
 
     def write_string(self, value) -> None:
+        # ``write_varint(len)`` then the data, folded into one write for
+        # the common one-byte length (the twin of ``read_binary``).
         data = value.encode("utf-8") if isinstance(value, str) else value
-        write_varint(self._buf, len(data))
-        self._buf.write(data)
+        if len(data) < 0x80:
+            self._write(_BYTE[len(data)] + data)
+        else:
+            write_varint(self._buf, len(data))
+            self._write(data)
 
     def write_collection_begin(self, ttype: TType, size: int) -> None:
-        self._buf.write(bytes((int(ttype),)))
+        self._write(_BYTE[ttype])
         write_varint(self._buf, size)
 
     def write_map_begin(self, ktype: TType, vtype: TType, size: int) -> None:
-        self._buf.write(bytes((int(ktype), int(vtype))))
+        self._write(_BYTE[ktype] + _BYTE[vtype])
         write_varint(self._buf, size)
 
 

@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, NamedTuple, Tuple, Type, TypeVar
 
 from repro.thriftlike.protocol import (
     SCALAR_READERS,
+    SCALAR_WRITERS,
     ProtocolReader,
     ProtocolWriter,
     reader_for,
@@ -29,17 +30,20 @@ from repro.thriftlike.types import (
 T = TypeVar("T", bound="ThriftStruct")
 
 ValueReader = Callable[[ProtocolReader], Any]
+ValueWriter = Callable[[ProtocolWriter, Any], None]
 
 
 class _Plan(NamedTuple):
-    """What ``read`` and ``validate`` need, resolved once per class:
-    ``fid -> (name, wire type, value reader)``, and in declaration order
-    the ``(name, default, default is a factory)`` and ``(name, required,
-    checker)`` triples."""
+    """What ``read``, ``validate`` and ``write`` need, resolved once per
+    class: ``fid -> (name, wire type, value reader)``, and in declaration
+    order the ``(name, default, default is a factory)``, ``(name,
+    required, checker)`` and ``(name, fid, wire type, value writer)``
+    tuples."""
 
     fields: Dict[int, Tuple[str, TType, ValueReader]]
     defaults: Tuple[Tuple[str, Any, bool], ...]
     checks: Tuple[Tuple[str, bool, Callable[[Any], None]], ...]
+    writes: Tuple[Tuple[str, int, TType, ValueWriter], ...]
 
 
 class ThriftStruct:
@@ -85,8 +89,9 @@ class ThriftStruct:
 
     @classmethod
     def _plan(cls) -> _Plan:
-        """This class's compiled read/validate plan (built on first use and
-        kept in the class ``__dict__``, so a subclass compiles its own)."""
+        """This class's compiled read/validate/write plan (built on first
+        use and kept in the class ``__dict__``, so a subclass compiles its
+        own)."""
         plan = cls.__dict__.get("_compiled_plan")
         if plan is None:
             specs = cls.field_map().values()
@@ -96,7 +101,9 @@ class ThriftStruct:
                 defaults=tuple((spec.name, spec.default,
                                 callable(spec.default)) for spec in specs),
                 checks=tuple((spec.name, spec.required,
-                              compile_checker(spec)) for spec in specs))
+                              compile_checker(spec)) for spec in specs),
+                writes=tuple((spec.name, spec.fid, spec.ttype,
+                              _compile_writer(spec)) for spec in specs))
         return plan
 
     def validate(self) -> None:
@@ -116,12 +123,12 @@ class ThriftStruct:
         """Validate and write the struct's set fields to a protocol writer."""
         self.validate()
         writer.write_struct_begin()
-        for spec in self.FIELDS:
-            value = getattr(self, spec.name)
-            if value is None:
-                continue
-            writer.write_field(spec.fid, spec.ttype)
-            _write_value(writer, spec, value)
+        write_field = writer.write_field
+        for name, fid, ttype, write_value in self._plan().writes:
+            value = getattr(self, name)
+            if value is not None:
+                write_field(fid, ttype)
+                write_value(writer, value)
         writer.write_field_stop()
         writer.write_struct_end()
 
@@ -221,38 +228,6 @@ def _to_plain(value: Any) -> Any:
     return value
 
 
-def _write_value(writer: ProtocolWriter, spec: FieldSpec, value: Any) -> None:
-    ttype = spec.ttype
-    if ttype is TType.BOOL:
-        writer.write_bool(value)
-    elif ttype is TType.BYTE:
-        writer.write_byte(value)
-    elif ttype is TType.I16:
-        writer.write_i16(value)
-    elif ttype is TType.I32:
-        writer.write_i32(value)
-    elif ttype is TType.I64:
-        writer.write_i64(value)
-    elif ttype is TType.DOUBLE:
-        writer.write_double(float(value))
-    elif ttype is TType.STRING:
-        writer.write_string(value)
-    elif ttype is TType.STRUCT:
-        value.write(writer)
-    elif ttype in (TType.LIST, TType.SET):
-        items = sorted(value, key=repr) if ttype is TType.SET else value
-        writer.write_collection_begin(spec.value.ttype, len(items))
-        for item in items:
-            _write_value(writer, spec.value, item)
-    elif ttype is TType.MAP:
-        writer.write_map_begin(spec.key.ttype, spec.value.ttype, len(value))
-        for k in sorted(value, key=repr):
-            _write_value(writer, spec.key, k)
-            _write_value(writer, spec.value, value[k])
-    else:  # pragma: no cover - exhaustive
-        raise ValidationError(f"unsupported type {ttype}")
-
-
 def _compile_reader(spec: FieldSpec) -> ValueReader:
     """Compose ``read(reader) -> value`` for one declared field.
 
@@ -294,3 +269,38 @@ def _compile_reader(spec: FieldSpec) -> ValueReader:
                 reader.skip(etype)
         return set(items) if as_set else items
     return read_collection
+
+
+def _compile_writer(spec: FieldSpec) -> ValueWriter:
+    """Compose ``write(writer, value)`` for one declared field: the twin
+    of :func:`_compile_reader`, protocol-agnostic for the same reason.
+
+    A SET's members and a MAP's keys go out in ``repr`` order, so the
+    bytes do not depend on insertion order or on the hash seed.
+    """
+    ttype = spec.ttype
+    if ttype in SCALAR_WRITERS:
+        return SCALAR_WRITERS[ttype]
+    if ttype is TType.STRUCT:
+        return lambda writer, value: value.write(writer)
+    write_item = _compile_writer(spec.value)
+    item_type = spec.value.ttype
+    if ttype is TType.MAP:
+        write_key = _compile_writer(spec.key)
+        key_type = spec.key.ttype
+
+        def write_map(writer: ProtocolWriter, value: dict) -> None:
+            writer.write_map_begin(key_type, item_type, len(value))
+            for key in sorted(value, key=repr):
+                write_key(writer, key)
+                write_item(writer, value[key])
+        return write_map
+
+    as_set = ttype is TType.SET
+
+    def write_collection(writer: ProtocolWriter, value: Any) -> None:
+        items = sorted(value, key=repr) if as_set else value
+        writer.write_collection_begin(item_type, len(items))
+        for item in items:
+            write_item(writer, item)
+    return write_collection

@@ -147,6 +147,27 @@ class TestBuilder:
         records = list(builder.iter_sequences(*date))
         assert len(records) == second.sessions_built
 
+    def test_direct_build_decodes_the_day_once(self, monkeypatch):
+        """Both passes share one decode, and ``build_histogram`` still
+        returns what the build wrote to the catalog."""
+        events = [ClientEvent.make(NAMES[i % 3], user_id=i % 4,
+                                   session_id="sid", ip="1.2.3.4",
+                                   timestamp=i * MILLIS_PER_MINUTE)
+                  for i in range(40)]
+        fs = HDFS()
+        write_day_events(fs, events, 2012, 1, 1)
+        decoded = []
+        from_bytes = ClientEvent.from_bytes.__func__
+        monkeypatch.setattr(ClientEvent, "from_bytes", classmethod(
+            lambda cls, data, *args: decoded.append(data)
+            or from_bytes(cls, data, *args)))
+        builder = SessionSequenceBuilder(fs)
+        result = builder.run(2012, 1, 1)
+        assert result.events_scanned == len(decoded) == len(events)
+        counts, samples = builder.build_histogram(2012, 1, 1)
+        assert counts == builder.load_histogram(2012, 1, 1)
+        assert samples == builder.load_samples(2012, 1, 1)
+
 
 class TestWriteDayEvents:
     def test_buckets_by_hour(self):

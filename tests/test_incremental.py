@@ -157,6 +157,48 @@ class TestIncrementalSessionizer:
         closed = s.finish()
         assert len(closed[0].session.events) == 1
 
+    def test_identity_is_encoded_once_at_ingest_and_never_again(
+            self, monkeypatch):
+        """Pinned by call count, not by time: ``ingest`` encodes each
+        offered event once; closing, re-opening, retracting and
+        finishing work from the bytes it kept."""
+        a, b, b_twin, c = ev(0), ev(4 * MIN), ev(4 * MIN), ev(30 * MIN)
+        late = ev(6 * MIN)
+        copy = ClientEvent.from_bytes(a.to_bytes())
+        encoded = []
+        to_bytes = ClientEvent.to_bytes
+        monkeypatch.setattr(
+            ClientEvent, "to_bytes",
+            lambda self, *args: encoded.append(self) or to_bytes(self, *args))
+
+        s = IncrementalSessionizer(inactivity_gap_ms=GAP_MS)
+        offered = [a, b, b_twin, c, a, copy]
+        assert s.ingest(offered) == 4  # the duplicate and the copy dropped
+        assert [id(e) for e in encoded] == [id(e) for e in offered]
+
+        del encoded[:]
+        assert s.advance(4 * MIN) == []
+        assert len(s.advance(20 * MIN)) == 1  # closes [a, b, b_twin]
+        assert s.advance(25 * MIN) == []
+        assert encoded == []
+
+        assert s.ingest([late]) == 1  # within the gap of the closed run
+        assert [id(e) for e in encoded] == [id(late)]
+
+        del encoded[:]
+        assert len(s.advance(25 * MIN)) == 1  # retracted and re-closed
+        assert s.reopened_total == 1
+        assert len(s.finish()) == 1  # closes [c]
+        assert encoded == []
+
+        monkeypatch.undo()
+        standing = sorted(s.closed_sessions(), key=lambda c: c.session.start)
+        batch = Sessionizer(GAP_MS).sessionize([a, b, b_twin, c, late])
+        assert [c.session for c in standing] == batch
+        assert [e.timestamp for e in standing[0].session.events] == [
+            0, 4 * MIN, 4 * MIN, 6 * MIN]
+        assert (s.opened_total, s.closed_total) == (2, 3)
+
     def test_midnight_session_attributed_to_exactly_one_day(self):
         s = IncrementalSessionizer(inactivity_gap_ms=GAP_MS)
         s.ingest([ev(MILLIS_PER_DAY - 5 * MIN), ev(MILLIS_PER_DAY + 3 * MIN)])

@@ -25,10 +25,16 @@ The only movement is invalid UTF-8 in a STRING field, which used to
 escape as ``UnicodeDecodeError`` and is now the ``ProtocolError`` that
 "malformed wire data" always promised; what the survivors decode to is
 digest-identical.
+
+The ``encoded.*`` digests pin the write side the same way: they were
+captured at 2c79ac5, before the per-class write plans and the one-write
+varint encoder replaced ``_write_value`` and the per-byte loop, and the
+``reencoded.*`` digests above did not move.
 """
 
 import dataclasses
 import hashlib
+import io
 import pickle
 import random
 import struct
@@ -39,8 +45,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.event import ClientEvent
+from repro.scribe.message import decode_envelope, encode_envelope
 from repro.thriftlike.codegen import frame, iter_frames
 from repro.thriftlike.proto import ProtoField, ProtoMessage
+from repro.thriftlike.protocol import write_varint
 from repro.thriftlike.struct import ThriftStruct
 from repro.thriftlike.types import (
     FieldSpec,
@@ -66,6 +74,26 @@ GOLDEN = {
         "9de7a80b6520886d25954195fc642665bbff8ef705068c8bff0d6f21e7310014",
     "flip_survivors":
         "07e4f8640e5f1a65470ab7da3e24e265156be69f8b899a234f569925cef321a6",
+    "encoded.block.bool":
+        "9948e6134674a34782497c7fef38b30f754d07c6b2dd70c8871f314676c244f1",
+    "encoded.block.delta":
+        "6969b7eccee88d53d34652c9b7c17d12d63e0e5ad2edba960a7b2784bb0f0ca4",
+    "encoded.block.dict":
+        "34b5dfd68132a0a15dda77a217e6ba69bbd896711297dee5efc99c8d891d4ab9",
+    "encoded.block.plain":
+        "3d84121e2ddecf8bc8594bea4fdcdbcc8707fe7ea51b30b3efbdffdc2f434886",
+    "encoded.block.varint":
+        "559136c6d003f1f3edff59809aada9fd7948ae5d14d5271b6c2a807007ea2ce6",
+    "encoded.envelope":
+        "948f8ef0e221d97cc3207d3d01c35e18ac3dfd2cdfcc9267eb0c5bdd8d509673",
+    "encoded.frame":
+        "8f4b5fc5e8868ef0ad5ceb4d8cdec2d1b774a49255efe57cbac1345474a740fa",
+    "encoded.kitchen_sink.binary":
+        "ba4d0ad007a313150c1eb40cdae00a3c218f36fa0ca80f22dfd44215b1e74e9e",
+    "encoded.kitchen_sink.compact":
+        "3c8787a0d7490eea81621abf673b353c1849942cec8450fc5639d48d1dec58aa",
+    "encoded.proto":
+        "f4c740fac31f01a415fed5e65f65e68d1e341f8733d9e416f1ccd6afb3bff52b",
 }
 
 FLIP_HISTOGRAM_AT_PARENT = {"decoded": 8732, "ProtocolError": 2557,
@@ -418,10 +446,14 @@ class _Tree(ProtoMessage):
               ProtoField(9, "score", "double"))
 
 
-def test_proto_message_truncations():
-    tree = _Tree(id=-5, delta=-300, count=2 ** 40, ok=True, name="café",
+def _tree():
+    return _Tree(id=-5, delta=-300, count=2 ** 40, ok=True, name="café",
                  raw=b"\xff\x00", leaf=_Leaf(label="l", weight=0.5),
                  leaves=[_Leaf(label="a"), _Leaf(weight=2.0)], score=1.5)
+
+
+def test_proto_message_truncations():
+    tree = _tree()
     wire = tree.to_bytes()
     assert _Tree.from_bytes(wire) == tree
     decoded = 0
@@ -452,6 +484,51 @@ def test_corruption_never_escapes_as_a_bare_builtin_error():
                 pytest.fail(f"{protocol}: {type(exc).__name__} escaped")
 
 
+# -- (e) the write side: every encoder's bytes, captured at 2c79ac5 --------
+
+_ENVELOPE_SEQS = (0, 127, 128, 2 ** 35)
+_FRAME_LENGTHS = (0, 127, 128, 16384)
+
+
+def _encoded():
+    """name -> the bytes each encoder produces for a fixed input."""
+    out = {f"encoded.kitchen_sink.{protocol}":
+           _kitchen_sink().to_bytes(protocol) for protocol in PROTOCOLS}
+    for encoding in sorted(ENCODINGS):
+        values = _BLOCKS[encoding]
+        out[f"encoded.block.{encoding}"] = (
+            encode_block(encoding, values)
+            + encode_block(encoding, [v for v in values if v is not None]))
+    out["encoded.proto"] = _tree().to_bytes()
+    out["encoded.envelope"] = b"".join(
+        encode_envelope("агрегатор-日本", seq, b"\x00msg\xff")
+        for seq in _ENVELOPE_SEQS)
+    out["encoded.frame"] = b"".join(
+        frame(bytes([n % 251]) * n) for n in _FRAME_LENGTHS)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_encoded()))
+def test_encoded_bytes_match_the_golden_digests(name):
+    assert hashlib.sha256(_encoded()[name]).hexdigest() == GOLDEN[name]
+
+
+def test_envelope_and_frame_lengths_cross_the_varint_byte_boundaries():
+    """What the digests above cover: one- and multi-byte varints."""
+    for seq in _ENVELOPE_SEQS:
+        wire = encode_envelope("агрегатор-日本", seq, b"m")
+        assert decode_envelope(wire) == ("агрегатор-日本", seq, b"m")
+    for n, prefix in zip(_FRAME_LENGTHS, (1, 1, 2, 3)):
+        assert len(frame(b"x" * n)) == n + prefix
+
+
+def test_varint_encoders_reject_negatives():
+    with pytest.raises(ProtocolError):
+        write_varint(io.BytesIO(), -1)
+    with pytest.raises(ProtocolError):
+        encode_envelope("host", -1, b"m")
+
+
 if __name__ == "__main__":
     for protocol in PROTOCOLS:
         decoded, reencoded = _day_digests(protocol)
@@ -460,3 +537,5 @@ if __name__ == "__main__":
     histogram, survivors = _flip_outcomes()
     print(f'    "flip_survivors":\n        "{survivors}",')
     print("FLIP_HISTOGRAM_AT_PARENT =", dict(sorted(histogram.items())))
+    for name, data in sorted(_encoded().items()):
+        print(f'    "{name}":\n        "{hashlib.sha256(data).hexdigest()}",')
