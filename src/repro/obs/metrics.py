@@ -92,19 +92,26 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution of observations with exact percentile queries."""
+    """A distribution of observations with exact percentile queries.
+
+    Observations stay in recording order; ``sum`` is a running total
+    accumulated in that order, and percentiles read a sorted copy that
+    the next ``observe`` invalidates.
+    """
 
     kind = "histogram"
 
     def __init__(self) -> None:
         self._values: List[float] = []
-        self._sorted = True
+        self._sum = 0.0
+        self._sorted: Optional[List[float]] = None
 
     def observe(self, value: Union[int, float]) -> None:
         """Record one observation."""
-        if self._values and value < self._values[-1]:
-            self._sorted = False
-        self._values.append(float(value))
+        value = float(value)
+        self._values.append(value)
+        self._sum += value
+        self._sorted = None
 
     @property
     def count(self) -> int:
@@ -113,8 +120,8 @@ class Histogram:
 
     @property
     def sum(self) -> float:
-        """Sum of all observations."""
-        return float(sum(self._values))
+        """Sum of all observations, added in recording order."""
+        return self._sum
 
     def values(self) -> List[float]:
         """A copy of the raw observations, in recording order."""
@@ -130,11 +137,10 @@ class Histogram:
             raise ValueError("percentile must be in [0, 1]")
         if not self._values:
             return None
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
+        if self._sorted is None:
+            self._sorted = sorted(self._values)
         rank = max(1, math.ceil(p * len(self._values)))
-        return self._values[rank - 1]
+        return self._sorted[rank - 1]
 
 
 Metric = Union[Counter, Gauge, Histogram]
@@ -146,6 +152,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelItems], Metric] = {}
         self._kinds: Dict[str, str] = {}
+        # (class, name, labels in call order) -> metric: the hot-path
+        # look-up, skipping the sort and str() of the canonical key.
+        self._memo: Dict[tuple, Metric] = {}
 
     # -- creation / lookup ----------------------------------------------
     def counter(self, name: str, **labels: object) -> Counter:
@@ -161,6 +170,19 @@ class MetricsRegistry:
         return self._get(name, labels, Histogram)
 
     def _get(self, name: str, labels: Dict[str, object], cls) -> Metric:
+        memo_key = (cls, name, *labels.items())
+        try:
+            return self._memo[memo_key]
+        except (KeyError, TypeError):  # TypeError: unhashable label value
+            pass
+        metric = self._resolve(name, labels, cls)
+        # Only all-str label values are memoised: 1, 1.0 and True hash
+        # alike but name different series.
+        if all(type(value) is str for value in labels.values()):
+            self._memo[memo_key] = metric
+        return metric
+
+    def _resolve(self, name: str, labels: Dict[str, object], cls) -> Metric:
         kind = self._kinds.get(name)
         if kind is not None and kind != cls.kind:
             raise MetricTypeError(

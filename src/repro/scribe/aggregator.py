@@ -28,7 +28,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.clock import LogicalClock
+from repro.clock import MILLIS_PER_HOUR, LogicalClock
 from repro.faults.injector import KIND_CRASH, fault_point
 from repro.faults.retry import RetryExhaustedError, RetryPolicy
 from repro.hdfs.layout import LogHour, hour_for_millis, staging_path
@@ -94,6 +94,7 @@ class ScribeAggregator:
                  backpressure_pending: int = 10_000) -> None:
         self.name = name
         self.datacenter = datacenter
+        self._receive_site = f"aggregator.{name}.receive"
         self._zk = zk
         self._staging = staging
         self._clock = clock
@@ -109,6 +110,10 @@ class ScribeAggregator:
         self._wal_next_index = 0
         # (category, hour) -> pending records not yet rolled to HDFS.
         self._pending: Dict[Tuple[str, LogHour], List[_PendingRecord]] = {}
+        self._pending_count = 0
+        # category -> (hour index, LogHour) of its latest receive, so
+        # bucketing builds one LogHour per category-hour, not per message.
+        self._hours: Dict[str, Tuple[int, LogHour]] = {}
         # Local-disk buffer used during HDFS outages: list of fully-encoded
         # files (path, data, codec, trace ids) waiting to be replayed.
         self._disk_buffer: List[
@@ -160,8 +165,9 @@ class ScribeAggregator:
             self._session.close()
             self._session = None
         self.alive = False
-        lost = sum(len(v) for v in self._pending.values())
+        lost = self._pending_count
         self._pending.clear()
+        self._pending_count = 0
         if not self._durable:
             self._wal.clear()
             self.stats.lost_in_crash += lost
@@ -190,7 +196,7 @@ class ScribeAggregator:
         """
         if not self.alive:
             raise AggregatorDownError(f"aggregator {self.name} is down")
-        rule = fault_point(f"aggregator.{self.name}.receive")
+        rule = fault_point(self._receive_site)
         if rule is not None and rule.kind == KIND_CRASH:
             self.crash()
             raise AggregatorDownError(
@@ -236,10 +242,15 @@ class ScribeAggregator:
 
     def _bucket(self, category: str, wire: bytes, trace_id: Optional[str],
                 millis: int, wal_index: Optional[int]) -> None:
-        hour = hour_for_millis(category, millis)
-        key = (category, hour)
+        index = millis // MILLIS_PER_HOUR
+        cached = self._hours.get(category)
+        if cached is None or cached[0] != index:
+            cached = self._hours[category] = (
+                index, hour_for_millis(category, millis))
+        key = (category, cached[1])
         bucket = self._pending.setdefault(key, [])
         bucket.append((wire, trace_id, wal_index))
+        self._pending_count += 1
         config = self._categories.get(category)
         if len(bucket) >= config.max_file_records:
             self._roll(key)
@@ -257,6 +268,7 @@ class ScribeAggregator:
         records = self._pending.pop(key, [])
         if not records:
             return
+        self._pending_count -= len(records)
         category, hour = key
         config = self._categories.get(category)
         wires = [r[0] for r in records]
@@ -406,7 +418,7 @@ class ScribeAggregator:
     @property
     def pending_messages(self) -> int:
         """Messages accepted but not yet rolled toward staging."""
-        return sum(len(v) for v in self._pending.values())
+        return self._pending_count
 
     def __repr__(self) -> str:
         return (f"ScribeAggregator({self.name!r}, dc={self.datacenter!r}, "

@@ -37,7 +37,7 @@ the first hop of an entry's end-to-end trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.clock import MILLIS_PER_HOUR, MILLIS_PER_MINUTE, LogicalClock
@@ -132,6 +132,7 @@ class ScribeDaemon:
                  retry_policy: Optional[RetryPolicy] = None,
                  categories: Optional[CategoryRegistry] = None) -> None:
         self.host = host
+        self._send_site = f"daemon.{host}.send"
         self._discovery = discovery
         self._resolve = resolve
         self._connected: Optional[str] = None
@@ -180,11 +181,10 @@ class ScribeDaemon:
         if tracer.enabled and trace_id is None:
             trace_id = tracer.new_trace_id()
         if entry.origin is None:
-            entry = replace(entry, trace_id=trace_id, origin=self.host,
-                            seq=self._next_seq)
+            entry = entry.stamped(trace_id, self.host, self._next_seq)
             self._next_seq += 1
         elif trace_id is not entry.trace_id:
-            entry = replace(entry, trace_id=trace_id)
+            entry = entry.stamped(trace_id, entry.origin, entry.seq)
         self.stats.accepted += 1
         registry = get_default_registry()
         registry.counter(names.DAEMON_ACCEPTED, host=self.host).inc()
@@ -423,7 +423,7 @@ class ScribeDaemon:
                     self._clock.advance(delay)
                 get_default_registry().counter(
                     names.RETRY_ATTEMPTS,
-                    site=f"daemon.{self.host}.send").inc()
+                    site=self._send_site).inc()
             elif self._last_failed is None:
                 # Classic behavior: only a stale-connection failure earns
                 # the immediate second attempt; "no aggregator at all"
@@ -439,7 +439,7 @@ class ScribeDaemon:
         aggregator = self._current_aggregator(exclude=exclude)
         if aggregator is None:
             return False
-        rule = fault_point(f"daemon.{self.host}.send")
+        rule = fault_point(self._send_site)
         try:
             if rule is not None and rule.kind == KIND_ERROR:
                 # The send is lost on the wire; nothing was delivered.

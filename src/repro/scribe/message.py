@@ -15,6 +15,7 @@ envelope and are delivered verbatim, exactly as before.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -71,6 +72,20 @@ class LogEntry:
     def size(self) -> int:
         """Approximate wire size of the entry."""
         return len(self.category) + len(self.message)
+
+    def stamped(self, trace_id: Optional[str], origin: Optional[str],
+                seq: Optional[int]) -> "LogEntry":
+        """A copy carrying the given delivery metadata.
+
+        The payload fields were validated when this entry was built, so
+        the copy skips ``__post_init__``. This entry is never modified,
+        nor is its ``__dict__`` read: that would materialise a dict on
+        every entry a caller keeps.
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(category=self.category, message=self.message,
+                             trace_id=trace_id, origin=origin, seq=seq)
+        return copy
 
 
 @dataclass
@@ -150,6 +165,17 @@ class CategoryRegistry:
 #: Magic prefix marking an enveloped message inside a staging frame.
 ENVELOPE_MAGIC = b"\xabSQ\x01"
 
+@functools.lru_cache(maxsize=4096)
+def _envelope_prefix(origin: str) -> bytes:
+    """Magic plus the varint-length-prefixed origin: the same bytes for
+    every message of one host, so built once per origin."""
+    encoded_origin = origin.encode("utf-8")
+    buf = io.BytesIO()
+    buf.write(ENVELOPE_MAGIC)
+    write_varint(buf, len(encoded_origin))
+    buf.write(encoded_origin)
+    return buf.getvalue()
+
 
 def encode_envelope(origin: str, seq: int, message: bytes) -> bytes:
     """Wrap a message with its (origin, seq) delivery identity.
@@ -159,10 +185,7 @@ def encode_envelope(origin: str, seq: int, message: bytes) -> bytes:
     so the message needs no own length).
     """
     buf = io.BytesIO()
-    buf.write(ENVELOPE_MAGIC)
-    encoded_origin = origin.encode("utf-8")
-    write_varint(buf, len(encoded_origin))
-    buf.write(encoded_origin)
+    buf.write(_envelope_prefix(origin))
     write_varint(buf, seq)
     buf.write(message)
     return buf.getvalue()

@@ -1,5 +1,6 @@
 """Observability layer: registry semantics, exposition, pipeline tracing."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from repro.analytics.dashboard import format_pipeline_health, pipeline_health
 from repro.clock import MILLIS_PER_HOUR
 from repro.hdfs.layout import hour_for_millis
 from repro.logmover.mover import LogMover
+from repro.logmover.sharded import ShardedLogMover
 from repro.mapreduce.engine import run_job
 from repro.mapreduce.inputformats import InMemoryInputFormat
 from repro.mapreduce.job import MapReduceJob
@@ -24,7 +26,7 @@ from repro.obs.trace import (
     set_default_tracer,
 )
 from repro.scribe.cluster import ScribeDeployment
-from repro.scribe.message import LogEntry
+from repro.scribe.message import CategoryConfig, LogEntry
 
 CATEGORY = "client_events"
 
@@ -107,6 +109,22 @@ class TestHistogram:
         assert merged.count == 2
         assert merged.sum == 4
 
+    def test_percentile_does_not_rewrite_history(self):
+        """Sorting in place used to reorder ``values()`` and re-add
+        ``sum`` in sorted order: 1e16 before a percentile, 1e16 + 2
+        after it."""
+        histogram = MetricsRegistry().histogram("lat_ms")
+        for value in (1e16, 1.0, 1.0):
+            histogram.observe(value)
+        assert histogram.sum == 1e16
+        assert histogram.percentile(0.5) == 1.0
+        assert histogram.values() == [1e16, 1.0, 1.0]
+        assert histogram.sum == 1e16
+        assert histogram.count == 3
+        histogram.observe(0.5)
+        assert histogram.percentile(0.0) == 0.5
+        assert histogram.percentile(1.0) == 1e16
+
 
 class TestExposition:
     def _populated(self):
@@ -160,6 +178,111 @@ class TestExposition:
         # The JSON snapshot keeps the internal kind name.
         snapshot = self._populated().snapshot()
         assert snapshot["latency_ms"][0]["type"] == "histogram"
+
+
+#: sha256 of ``expose()`` after :func:`_fixed_ingest_run`, captured at
+#: 8fc72cc, before the registry memoised its look-ups.
+FIXED_INGEST_EXPOSITION_SHA256 = (
+    "4458f3890497832530897aaff5c48c17238f89463b1e6dbc92c103c552096114")
+FIXED_INGEST_CATEGORIES = ("ingest_a", "ingest_b", "ingest_d")
+
+
+def _fixed_ingest_run():
+    """480 entries through 2 datacenters onto a 2-shard warehouse, with
+    one datacenter's aggregators crashed and restarted (durable WAL
+    replay) mid-run; untraced, so the registry holds no histograms."""
+    deployment = ScribeDeployment(
+        ["east", "west"], num_hosts=2, num_aggregators=2,
+        durable_aggregators=True, seed=11, warehouse_shards=2)
+    for category in FIXED_INGEST_CATEGORIES:
+        deployment.categories.register(
+            CategoryConfig(category, max_file_records=25))
+    east = deployment.datacenters["east"]
+    for n in range(480):
+        deployment.clock.advance_to(n * 22_500)
+        if n == 200:
+            for name in east.live_aggregator_names():
+                east.crash_aggregator(name)
+        if n == 300:
+            for name in sorted(east.aggregators):
+                east.restart_aggregator(name)
+        datacenter = deployment.datacenters[("east", "west")[n % 2]]
+        datacenter.log_from((n // 2) % 2, LogEntry(
+            FIXED_INGEST_CATEGORIES[n % 3], b"m%05d" % n))
+    deployment.flush_all()
+    mover = ShardedLogMover(
+        {name: dc.staging for name, dc in deployment.datacenters.items()},
+        deployment.warehouse, backend="threads", clock=deployment.clock)
+    mover.move_hours([hour_for_millis(c, h * MILLIS_PER_HOUR)
+                      for c in FIXED_INGEST_CATEGORIES for h in range(3)],
+                     require_complete=False)
+
+
+class TestLookupMemo:
+    """The registry memoises (kind, name, labels in call order) look-ups;
+    none of that may change which series a call resolves to."""
+
+    def test_kind_conflict_still_raises_after_memoising(self):
+        registry = MetricsRegistry()
+        registry.counter("x").inc()
+        assert registry.counter("x") is registry.counter("x")
+        with pytest.raises(MetricTypeError):
+            registry.gauge("x")
+        with pytest.raises(MetricTypeError):
+            registry.histogram("x")
+
+    def test_int_and_unhashable_label_values_resolve(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", shard=3).inc()
+        registry.counter("c_total", shard="3").inc()
+        registry.counter("c_total", shard=3).inc()
+        assert registry.counter("c_total", shard="3").value == 3
+        tagged = registry.counter("c_total", tags=["a", "b"])
+        tagged.inc()
+        assert registry.counter("c_total", tags=["a", "b"]) is tagged
+        assert registry.counter("c_total", tags="['a', 'b']") is tagged
+        # Equal-hashing values that print differently stay apart.
+        registry.counter("flag_total", on=1).inc()
+        registry.counter("flag_total", on=True).inc(5)
+        assert registry.counter("flag_total", on=1).value == 1
+        assert registry.counter("flag_total", on="True").value == 5
+
+    def test_label_orders_share_one_series(self):
+        registry = MetricsRegistry()
+        first = registry.counter("reqs_total", host="a", dc="e")
+        assert registry.counter("reqs_total", dc="e", host="a") is first
+        assert registry.counter("reqs_total", host="a", dc="e") is first
+        assert len(registry) == 1
+
+    def test_swapped_registry_gets_the_next_counts(self):
+        mine, theirs = MetricsRegistry(), MetricsRegistry()
+        old = set_default_registry(mine)
+        try:
+            deployment = ScribeDeployment(["east"], num_hosts=1,
+                                          num_aggregators=1)
+            east = deployment.datacenters["east"]
+            east.log_from(0, LogEntry(CATEGORY, b"a"))
+            set_default_registry(theirs)
+            east.log_from(0, LogEntry(CATEGORY, b"b"))
+            east.log_from(0, LogEntry(CATEGORY, b"c"))
+        finally:
+            set_default_registry(old)
+        host = east.daemons[0].host
+        assert mine.counter(names.DAEMON_ACCEPTED, host=host).value == 1
+        assert theirs.counter(names.DAEMON_ACCEPTED, host=host).value == 2
+        assert theirs.total(names.AGGREGATOR_RECEIVED) == 2
+
+    def test_fixed_ingest_exposition_is_unchanged(self):
+        registry = MetricsRegistry()
+        old = set_default_registry(registry)
+        try:
+            _fixed_ingest_run()
+        finally:
+            set_default_registry(old)
+        text = registry.expose()
+        assert "summary" not in text  # counters and gauges only
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == FIXED_INGEST_EXPOSITION_SHA256
 
 
 class TestDefaults:

@@ -1,10 +1,15 @@
 """Scribe tests: messages, discovery, aggregators, daemons, failover."""
 
+import collections
+import dataclasses
+
 import pytest
 
-from repro.clock import LogicalClock
-from repro.hdfs.layout import hour_for_millis, staging_path
+from repro.clock import MILLIS_PER_HOUR, LogicalClock
+from repro.hdfs.layout import STAGING_ROOT, hour_for_millis, staging_path
 from repro.hdfs.namenode import HDFS
+from repro.obs.metrics import MetricsRegistry, set_default_registry
+from repro.scribe import aggregator as aggregator_module
 from repro.scribe.aggregator import (
     AggregatorDownError,
     ScribeAggregator,
@@ -44,6 +49,16 @@ class TestLogEntry:
     def test_message_must_be_bytes(self):
         with pytest.raises(TypeError):
             LogEntry("ok", "not bytes")
+
+    def test_stamped_copies_every_field_and_leaves_the_original(self):
+        entry = LogEntry("ok", b"payload")
+        copy = entry.stamped("t1", "east-host-0000", 7)
+        assert {f.name: getattr(copy, f.name)
+                for f in dataclasses.fields(LogEntry)} == {
+            "category": "ok", "message": b"payload", "trace_id": "t1",
+            "origin": "east-host-0000", "seq": 7}
+        assert copy == entry and copy is not entry
+        assert (entry.trace_id, entry.origin, entry.seq) == (None, None, None)
 
 
 class TestCategoryRegistry:
@@ -377,3 +392,103 @@ class TestLoadBalancing:
         # no aggregator is starved or hot-spotted
         assert received[0] > 400 / 4 * 0.4
         assert received[-1] < 400 / 4 * 2.0
+
+
+COST_CATEGORIES = ("cost_a", "cost_b")
+COST_ENTRIES = 2_000
+COST_HOURS = 2
+
+
+def _cost_entries():
+    return [LogEntry(COST_CATEGORIES[n % 2], b"c%05d" % n)
+            for n in range(COST_ENTRIES)]
+
+
+def _log_through_fresh_deployment(entries, host_offset=0):
+    """Log ``entries`` over two hours from 2 hosts; returns the deployment
+    (not yet flushed)."""
+    deployment = ScribeDeployment(["east"], num_hosts=2, num_aggregators=2,
+                                  seed=3)
+    east = deployment.datacenters["east"]
+    step_ms = COST_HOURS * MILLIS_PER_HOUR // len(entries)
+    for n, entry in enumerate(entries):
+        deployment.clock.advance_to(n * step_ms)
+        east.log_from((n // 2 + host_offset) % 2, entry)
+    return deployment
+
+
+def _staged_files(deployment):
+    deployment.flush_all()
+    return [(path, dc.staging.open_bytes(path))
+            for dc in deployment.datacenters.values()
+            for path in sorted(dc.staging.glob_files(STAGING_ROOT))]
+
+
+class TestPerMessageCost:
+    """One accepted message pays for the message only: counted by calls,
+    so the bound holds on any host."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self):
+        registry = MetricsRegistry()
+        old = set_default_registry(registry)
+        yield registry
+        set_default_registry(old)
+
+    def test_log_calls_are_bounded_per_series_and_per_hour(
+            self, monkeypatch, fresh_registry):
+        entries = _cost_entries()
+        resolved = collections.Counter()
+        resolve = MetricsRegistry._resolve
+
+        def counting_resolve(registry, name, labels, cls):
+            resolved[(cls.kind, name, tuple(sorted(
+                (k, str(v)) for k, v in labels.items())))] += 1
+            return resolve(registry, name, labels, cls)
+
+        replaced, hours_built, validated = [], [], []
+        real_replace = dataclasses.replace
+        real_hour_for_millis = aggregator_module.hour_for_millis
+        real_post_init = LogEntry.__post_init__
+
+        def counting_post_init(entry):
+            validated.append(entry)
+            real_post_init(entry)
+
+        monkeypatch.setattr(MetricsRegistry, "_resolve", counting_resolve)
+        monkeypatch.setattr(dataclasses, "replace", lambda *a, **k: (
+            replaced.append(a), real_replace(*a, **k))[1])
+        monkeypatch.setattr(aggregator_module, "hour_for_millis",
+                            lambda *a: (hours_built.append(a),
+                                        real_hour_for_millis(*a))[1])
+        monkeypatch.setattr(LogEntry, "__post_init__", counting_post_init)
+
+        deployment = _log_through_fresh_deployment(entries)
+        aggregators = deployment.datacenters["east"].aggregators
+        # The running pending count agrees with what has not rolled yet.
+        assert sum(a.pending_messages for a in aggregators.values()) == (
+            deployment.total_accepted() - deployment.total_staged())
+        deployment.flush_all()
+        assert [a.pending_messages for a in aggregators.values()] == [0, 0]
+
+        assert deployment.total_staged() == COST_ENTRIES
+        assert resolved and max(resolved.values()) == 1
+        assert len(resolved) <= len(fresh_registry)
+        assert replaced == [] and validated == []
+        assert 0 < len(hours_built) <= (
+            len(aggregators) * len(COST_CATEGORIES) * COST_HOURS)
+
+    def test_relogging_the_same_entries_stages_identical_bytes(self):
+        """The harness re-logs the same objects every round: stamping
+        must copy, never write delivery metadata into the caller's
+        entry (a first pass from the other host would then leak its
+        origin into every later run)."""
+        entries = _cost_entries()
+        _log_through_fresh_deployment(entries, host_offset=1)
+        first = _staged_files(_log_through_fresh_deployment(entries))
+        second = _staged_files(_log_through_fresh_deployment(entries))
+        assert first and first == second
+        copies = [LogEntry(e.category, e.message) for e in entries]
+        assert first == _staged_files(_log_through_fresh_deployment(copies))
+        assert all(e.origin is None and e.seq is None and e.trace_id is None
+                   for e in entries)

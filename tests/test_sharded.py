@@ -1,10 +1,12 @@
-"""Sharded warehouse tests: routing, path compatibility, parallel moves.
+"""Sharded warehouse tests: routing, path compatibility, shard-group moves.
 
 The router must keep the warehouse layout byte-identical to a single
 namenode (path compatibility is the whole point), enforce the
-co-sharding invariant on renames, and let per-shard movers run in
-parallel with results identical to the serial order.
+co-sharding invariant on renames, and move shard groups in one serial
+loop where a down shard never blocks another shard's hours.
 """
+
+import warnings
 
 import pytest
 
@@ -173,48 +175,76 @@ class TestPathCompatibility:
         assert len(mover.moves) == 2
 
 
+def _fresh_move(staging, hours, backend, **kwargs):
+    """(results, listing) of one fresh 4-shard move of ``hours``."""
+    router = ShardedHDFS(4, name="warehouse")
+    mover = ShardedLogMover({"dc1": staging}, router, backend=backend,
+                            **kwargs)
+    moved = mover.move_hours(hours, delete_staged=False)
+    return ([(r.hour, r.messages_moved, r.output_files) for r in moved],
+            _warehouse_listing(router))
+
+
 class TestParallelMoves:
-    def test_threads_equals_serial(self):
+    """Moves across shard groups: one serial loop, whatever the backend
+    name, and a failing group never stops the others."""
+
+    def test_every_backend_name_moves_identically(self):
         staging = HDFS(name="staging-dc1")
         categories = _distinct_shard_categories(ShardedHDFS(4), 4)
         hours = _stage_hours(staging, categories)
-        results = {}
-        listings = {}
+        serial = _fresh_move(staging, hours, "serial")
+        assert len(serial[0]) == 4 and serial[1]
         for backend in SHARD_BACKENDS:
-            router = ShardedHDFS(4, name="warehouse")
-            mover = ShardedLogMover({"dc1": staging}, router,
-                                    backend=backend)
-            moved = mover.move_hours(hours, delete_staged=False)
-            results[backend] = [(r.hour, r.messages_moved,
-                                 r.output_files) for r in moved]
-            listings[backend] = _warehouse_listing(router)
-        assert results["threads"] == results["serial"]
-        assert listings["threads"] == listings["serial"]
+            assert _fresh_move(staging, hours, backend,
+                                 max_workers=3) == serial
 
-    def test_processes_backend_falls_back_to_threads(self):
-        router = ShardedHDFS(2)
-        with pytest.warns(RuntimeWarning):
-            mover = ShardedLogMover({"dc1": HDFS()}, router,
-                                    backend="processes")
-        assert "threads" in repr(mover)
+    def test_processes_backend_accepted_same_serial_result(self):
+        staging = HDFS(name="staging-dc1")
+        hours = _stage_hours(
+            staging, _distinct_shard_categories(ShardedHDFS(4), 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moved = _fresh_move(staging, hours, "processes")
+        assert moved == _fresh_move(staging, hours, "serial")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ShardedLogMover({"dc1": HDFS()}, ShardedHDFS(2),
                             backend="fibers")
 
-    def test_group_failure_does_not_swallow_other_shards(self):
+    def test_group_failure_does_not_swallow_other_shards(self,
+                                                         fresh_registry):
         staging = HDFS(name="staging-dc1")
         router = ShardedHDFS(4)
         cat_ok, cat_down = _distinct_shard_categories(router, 2)
         hours = _stage_hours(staging, [cat_ok, cat_down])
         router.shards[router.shard_index(cat_down)].set_available(False)
-        mover = ShardedLogMover({"dc1": staging}, router,
-                                backend="threads")
+        mover = ShardedLogMover({"dc1": staging}, router)
         with pytest.raises(HDFSUnavailableError):
             mover.move_hours(hours, delete_staged=False)
-        # The healthy shard's hour still landed before the error surfaced.
+        # The healthy shard's hour still landed, and was counted, before
+        # the error surfaced.
         assert router.glob_files(f"/logs/{cat_ok}")
+        assert fresh_registry.total(obs_names.SHARD_HOURS_MOVED) == 1
+
+    @pytest.mark.parametrize("down", range(4))
+    @pytest.mark.parametrize("order", ["given", "reversed"])
+    def test_down_shard_never_blocks_another_shards_hour(self, down, order):
+        staging = HDFS(name="staging-dc1")
+        router = ShardedHDFS(4)
+        categories = _distinct_shard_categories(router, 4)
+        hours = _stage_hours(staging, categories)
+        if order == "reversed":
+            hours.reverse()
+        router.shards[down].set_available(False)
+        mover = ShardedLogMover({"dc1": staging}, router)
+        with pytest.raises(HDFSUnavailableError):
+            mover.move_hours(hours, delete_staged=False)
+        router.shards[down].set_available(True)
+        landed = {c for c in categories if router.exists(f"/logs/{c}")}
+        assert landed == {c for c in categories
+                          if router.shard_index(c) != down}
 
     def test_per_shard_metrics_recorded(self, fresh_registry):
         staging = HDFS(name="staging-dc1")
