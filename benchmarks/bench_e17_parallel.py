@@ -1,9 +1,9 @@
-"""E17 -- parallel execution backends: speedup with identical answers.
+"""E17 -- the parallel execution backend: speedup with identical answers.
 
-The engine's ``threads`` and ``processes`` backends fan map tasks and
-reduce partitions over worker pools while keeping output, counter
-totals, and tracker accounting byte-identical to ``serial``. Measured
-here on the two heaviest workloads in the suite:
+The engine's ``processes`` backend fans map tasks and reduce partitions
+over a worker pool while keeping output, counter totals, and tracker
+accounting byte-identical to ``serial``. Measured here on the two
+heaviest workloads in the suite:
 
 - the E6 raw-log counting query (CPU-bound regex matching over every
   decoded event), and
@@ -32,7 +32,7 @@ from repro.mapreduce.jobtracker import JobTracker
 from repro.workload.generator import load_warehouse_day
 
 PATTERN = "*:impression"
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 MIN_CORES_FOR_SPEEDUP = 4
 _RECORD_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_e17.json")
@@ -112,7 +112,6 @@ def test_counting_query_backends(benchmark, warehouse, date):
         "pattern": PATTERN,
         "count": out["serial"]["count"],
         "wall_s": wall,
-        "speedup_threads": wall["serial"] / wall["threads"],
         "speedup_processes": wall["serial"] / wall["processes"],
         "parity": parity,
     })
@@ -170,7 +169,6 @@ def test_mapreduce_day_build_backends(benchmark, workload):
         "sessions": base["sessions"],
         "events": base["events"],
         "wall_s": wall,
-        "speedup_threads": wall["serial"] / wall["threads"],
         "speedup_processes": wall["serial"] / wall["processes"],
         "parity": parity,
     })

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from repro.analytics.counting import count_events_raw, count_events_sequences
 from repro.analytics.funnel import run_funnel
 from repro.core.catalog import ClientEventCatalog
+from repro.mapreduce.backends import BACKEND_NAMES
 from repro.mapreduce.jobtracker import JobTracker
 from repro.workload.behavior import signup_funnel_stages
 from repro.workload.simulate import WarehouseSimulation
@@ -70,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--sessions", action="store_true",
                        help="count sessions containing the event instead")
     count.add_argument("--backend", default="serial",
-                       choices=("serial", "threads", "processes"),
+                       choices=BACKEND_NAMES,
                        help="MapReduce execution backend (default serial)")
     count.add_argument("--workers", type=int, default=None,
-                       help="worker count for parallel backends "
+                       help="worker count for the processes backend "
                             "(default: min(8, cpu count))")
 
     funnel = add_parser("funnel", "run the signup funnel")
@@ -125,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--user", type=int, default=None,
                        help="query one user's events instead of a pattern")
     index.add_argument("--backend", default="serial",
-                       choices=("serial", "threads", "processes"),
+                       choices=BACKEND_NAMES,
                        help="MapReduce execution backend (default serial)")
     index.add_argument("--workers", type=int, default=None,
-                       help="worker count for parallel backends")
+                       help="worker count for the processes backend")
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection soak asserting zero-loss/"

@@ -38,7 +38,6 @@ from repro.core.details_schema import (
     classify_value,
 )
 from repro.core.layouts import (
-    ColumnarLayout,
     SessionReorganizedLayout,
     reorganize_day,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "EventDetailsSchema",
     "KeySchema",
     "classify_value",
-    "ColumnarLayout",
     "SessionReorganizedLayout",
     "reorganize_day",
 ]

@@ -145,7 +145,7 @@ class SessionSequenceBuilder:
         across potentially terabytes of data" -- so the build's own
         mapper/shuffle footprint is measurable via ``tracker``.
         ``backend`` / ``max_workers`` pick the engine execution backend
-        (``"serial"``, ``"threads"``, ``"processes"``) for those jobs.
+        (``"serial"`` or ``"processes"``) for those jobs.
         """
         if engine not in ("direct", "mapreduce"):
             raise ValueError(f"unknown engine {engine!r}")

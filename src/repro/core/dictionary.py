@@ -23,7 +23,6 @@ UTF-8 then gives 1 byte below U+0080, 2 below U+0800, 3 below U+10000 and
 from __future__ import annotations
 
 import json
-from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.core.names import EventPattern
@@ -78,11 +77,6 @@ class EventDictionary:
         """
         ordered = sorted(counts, key=lambda name: (-counts[name], name))
         return cls(ordered)
-
-    @classmethod
-    def from_events(cls, names: Iterable[str]) -> "EventDictionary":
-        """Build directly from a stream of event-name occurrences."""
-        return cls.from_histogram(Counter(names))
 
     # -- encoding ----------------------------------------------------------
     def code_for(self, name: str) -> int:

@@ -13,7 +13,7 @@ sessions (of course, timestamps are still important for ordering events)".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.clock import MILLIS_PER_MINUTE
 from repro.core.event import ClientEvent
@@ -102,8 +102,3 @@ class Sessionizer:
             if current:
                 sessions.append(Session(user_id, session_id, current))
         return sessions
-
-    def iter_sessions(self,
-                      events: Iterable[ClientEvent]) -> Iterator[Session]:
-        """Iterator form of :meth:`sessionize`."""
-        return iter(self.sessionize(events))

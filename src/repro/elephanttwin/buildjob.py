@@ -4,8 +4,8 @@
 as a Hadoop job"; here each warehouse hour directory
 (``/logs/<category>/YYYY/MM/DD/HH``) gets its own index *partition* built
 by the engine -- map tasks extract ``(field, term)`` pairs per split,
-reduce tasks merge postings -- so the PR 2 ``threads``/``processes``
-backends parallelize index construction exactly as they do queries.
+reduce tasks merge postings -- so the ``processes`` backend
+parallelizes index construction exactly as it does queries.
 
 A partition is two files under ``.../HH/_index/``:
 

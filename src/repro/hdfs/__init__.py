@@ -18,7 +18,6 @@ from repro.hdfs.layout import (
     SEQUENCES_ROOT,
     STAGING_ROOT,
     LogHour,
-    category_path,
     day_path,
     hours_of_day,
     parse_hour_path,
@@ -47,7 +46,6 @@ __all__ = [
     "SEQUENCES_ROOT",
     "STAGING_ROOT",
     "LogHour",
-    "category_path",
     "day_path",
     "hours_of_day",
     "parse_hour_path",

@@ -69,25 +69,6 @@ class LogHour:
         """Directory path for this hour under ``root``."""
         return f"{root}/{self.category}/{self.date_str}/{self.hour:02d}"
 
-    def next_hour(self) -> "LogHour":
-        """The immediately following hour (simplified 31-day months)."""
-        hour = self.hour + 1
-        day, month, year = self.day, self.month, self.year
-        if hour == 24:
-            hour = 0
-            day += 1
-            if day > 31:
-                day = 1
-                month += 1
-                if month > 12:
-                    month = 1
-                    year += 1
-        return LogHour(self.category, year, month, day, hour)
-
-    def with_category(self, category: str) -> "LogHour":
-        """The same hour under a different category."""
-        return LogHour(category, self.year, self.month, self.day, self.hour)
-
 
 def parse_hour_path(path: str) -> Optional[LogHour]:
     """Parse a per-hour directory path; None if it does not match."""
@@ -101,11 +82,6 @@ def parse_hour_path(path: str) -> Optional[LogHour]:
         day=int(match.group("day")),
         hour=int(match.group("hour")),
     )
-
-
-def category_path(category: str, root: str = LOGS_ROOT) -> str:
-    """Root directory of one category's logs."""
-    return f"{root}/{category}"
 
 
 def day_path(category: str, year: int, month: int, day: int,

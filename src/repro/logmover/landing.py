@@ -60,13 +60,6 @@ class MoveResult:
     #: The data-quality auditor derives per-hour freshness lag from it.
     moved_at_ms: Optional[int] = None
 
-    @property
-    def merge_ratio(self) -> float:
-        """Input files per output file (the small-file merge factor)."""
-        if self.output_files == 0:
-            return 0.0
-        return self.input_files / self.output_files
-
 
 @dataclass
 class Collected:

@@ -5,7 +5,6 @@ from repro.mapreduce.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     prepare_backend,
 )
 from repro.mapreduce.counters import (
@@ -42,7 +41,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "prepare_backend",
     "serialize_key",
     "stable_hash",

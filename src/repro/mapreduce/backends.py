@@ -5,15 +5,17 @@ tasks (one per partition); a backend decides where those tasks execute:
 
 - ``serial`` runs tasks in order on the calling thread -- the classic
   single-core engine;
-- ``threads`` fans tasks out over a :class:`ThreadPoolExecutor`
-  (overlaps I/O-ish work; mapper CPU stays GIL-bound);
 - ``processes`` fans tasks out over a :class:`ProcessPoolExecutor` for
   real multi-core speedup.
+
+A thread-pool backend did not pay for itself under the GIL (E17 on a
+2-CPU host, three runs: 0.70-1.08x serial on the raw counting query,
+0.69-0.98x on the day build) and was removed.
 
 Determinism contract: every task runs against its *own*
 :class:`Counters`, and the engine merges per-task results **in task
 order at the phase barrier**, so counter totals, tracker accounting, and
-output order are identical across all three backends regardless of
+output order are identical across both backends regardless of
 completion order.  Partitioning uses :mod:`repro.mapreduce.partition`,
 which is stable across worker processes under randomized
 ``PYTHONHASHSEED``.
@@ -21,16 +23,16 @@ which is stable across worker processes under randomized
 The process pool requires the whole job (mapper, combiner, reducer,
 input format) to be picklable.  :func:`prepare_backend` probes that with
 ``pickle.dumps`` up front; closure-based jobs get a clear warning and
-fall back to the thread backend, so ``backend="processes"`` is always
-safe to request.  The job payload is pickled once and shipped via pool
+fall back to ``serial``, so ``backend="processes"`` is always safe to
+request.  The job payload is pickled once and shipped via pool
 initializer; per-task traffic is just splits and partition data.
 
 Both map *and* reduce tasks travel in contiguous chunks (one pool work
 unit per chunk) to amortize scheduling and pickling, and phases of at
 most :data:`INLINE_PHASE_TASKS` tasks run inline on the calling thread:
 for a tiny job the pool's dispatch overhead costs more than the
-parallelism could save, so a pooled backend on a small job is no worse
-than ``serial`` while reporting its own name unchanged.
+parallelism could save, so the pooled backend on a small job is no
+worse than ``serial`` while reporting its own name unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 import time
 import warnings
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -62,9 +64,9 @@ from repro.mapreduce.job import MapReduceJob, TaskContext
 from repro.mapreduce.partition import stable_partition
 
 #: The backend names ``run_job`` accepts.
-BACKEND_NAMES = ("serial", "threads", "processes")
+BACKEND_NAMES = ("serial", "processes")
 
-#: Phases with at most this many tasks run inline on pooled backends:
+#: Phases with at most this many tasks run inline on the pooled backend:
 #: pool dispatch (scheduling, pickling, result transfer) would dominate.
 INLINE_PHASE_TASKS = 4
 
@@ -283,9 +285,9 @@ def _process_run_reduce_chunk(chunk: Sequence[Tuple[int, List[Tuple[Any, Any]]]]
 class ExecutionBackend:
     """Interface: run a job's map / reduce phases, results in task order.
 
-    Backends are context managers; pooled backends open their pool on
-    first use and tear it down on exit, so both phases of one job share
-    one pool (and, for processes, one shipped job payload).
+    Backends are context managers; the process backend opens its pool
+    on first use and tears it down on exit, so both phases of one job
+    share one pool and one shipped job payload.
     """
 
     #: Backend name as reported to the tracker and the metrics gauge.
@@ -328,27 +330,21 @@ class SerialBackend(ExecutionBackend):
                 for index, partition in units]
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared chunking/ordering logic for the two pooled backends."""
+class ProcessPoolBackend(ExecutionBackend):
+    """Tasks run on a process pool (true multi-core parallelism).
 
-    def __init__(self, workers: int) -> None:
+    The job payload is pickled once and installed per worker by the pool
+    initializer; task messages carry only splits and partition data.
+    Tasks travel in contiguous chunks and results merge back in task
+    order.
+    """
+
+    name = "processes"
+
+    def __init__(self, workers: int, payload: bytes) -> None:
         self.workers = max(1, workers)
-        self._pool = None
-
-    # subclasses provide:
-    def _make_pool(self):
-        raise NotImplementedError
-
-    def _submit_map_chunk(self, pool, job, chunk):
-        raise NotImplementedError
-
-    def _submit_reduce_chunk(self, pool, job, chunk):
-        raise NotImplementedError
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
+        self._payload = payload
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     def __exit__(self, *exc_info: Any) -> None:
         if self._pool is not None:
@@ -358,77 +354,31 @@ class _PoolBackend(ExecutionBackend):
     def run_map_phase(self, job, splits):
         """Fan map tasks out over the pool; merge back in split order."""
         indexed = list(enumerate(splits))
-        if not indexed:
-            return []
         if len(indexed) <= INLINE_PHASE_TASKS:
             # Too small to pay pool dispatch for; identical results
             # either way (tasks still run against private Counters).
             return _run_map_chunk(job, indexed, time.monotonic())
-        pool = self._ensure_pool()
-        chunks = _chunk(indexed, self.workers * 2)
-        futures = [self._submit_map_chunk(pool, job, chunk)
-                   for chunk in chunks]
-        results = [result for future in futures for result in future.result()]
-        results.sort(key=lambda r: r.index)
-        return results
+        return self._fan_out(_process_run_map_chunk, indexed)
 
     def run_reduce_phase(self, job, units):
         """Fan reduce-task chunks out over the pool; merge in partition
         order."""
         units = list(units)
-        if not units:
-            return []
         if len(units) <= INLINE_PHASE_TASKS:
             return _run_reduce_chunk(job, units, time.monotonic())
-        pool = self._ensure_pool()
-        chunks = _chunk(units, self.workers * 2)
-        futures = [self._submit_reduce_chunk(pool, job, chunk)
-                   for chunk in chunks]
+        return self._fan_out(_process_run_reduce_chunk, units)
+
+    def _fan_out(self, run_chunk, items: List[Any]) -> List[Any]:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_process_worker_init,
+                initargs=(self._payload,))
+        futures = [self._pool.submit(run_chunk, chunk, time.monotonic())
+                   for chunk in _chunk(items, self.workers * 2)]
         results = [result for future in futures for result in future.result()]
         results.sort(key=lambda r: r.index)
         return results
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """Tasks run on a thread pool (shared memory; CPU stays GIL-bound)."""
-
-    name = "threads"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="mr-worker")
-
-    def _submit_map_chunk(self, pool, job, chunk):
-        return pool.submit(_run_map_chunk, job, chunk, time.monotonic())
-
-    def _submit_reduce_chunk(self, pool, job, chunk):
-        return pool.submit(_run_reduce_chunk, job, chunk, time.monotonic())
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Tasks run on a process pool (true multi-core parallelism).
-
-    The job payload is pickled once and installed per worker by the pool
-    initializer; task messages carry only splits and partition data.
-    """
-
-    name = "processes"
-
-    def __init__(self, workers: int, payload: bytes) -> None:
-        super().__init__(workers)
-        self._payload = payload
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_process_worker_init,
-                                   initargs=(self._payload,))
-
-    def _submit_map_chunk(self, pool, job, chunk):
-        return pool.submit(_process_run_map_chunk, chunk, time.monotonic())
-
-    def _submit_reduce_chunk(self, pool, job, chunk):
-        return pool.submit(_process_run_reduce_chunk, chunk,
-                           time.monotonic())
 
 
 def _chunk(items: List[Any], n_chunks: int) -> List[List[Any]]:
@@ -450,8 +400,8 @@ def prepare_backend(job: MapReduceJob, backend: Optional[str],
 
     ``"processes"`` is probed for pickle-ability first: jobs built from
     closures (or over unpicklable input formats) cannot cross a process
-    boundary, so they fall back to ``"threads"`` with a clear warning
-    rather than failing deep inside the pool.
+    boundary, so they run ``"serial"`` after a clear warning rather than
+    failing deep inside the pool.
     """
     name = backend or "serial"
     if name not in BACKEND_NAMES:
@@ -459,9 +409,6 @@ def prepare_backend(job: MapReduceJob, backend: Optional[str],
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
     if name == "serial":
         return SerialBackend()
-    workers = max_workers or default_worker_count()
-    if name == "threads":
-        return ThreadPoolBackend(workers)
     try:
         payload = pickle.dumps(job)
     except Exception as exc:  # noqa: BLE001 - any pickling failure
@@ -469,7 +416,7 @@ def prepare_backend(job: MapReduceJob, backend: Optional[str],
             f"job {job.name!r} cannot run on the 'processes' backend: "
             f"{exc!r}. The mapper/combiner/reducer and input format must "
             f"be picklable (module-level functions or callable classes, "
-            f"not closures/lambdas); falling back to 'threads'.",
+            f"not closures/lambdas); falling back to 'serial'.",
             RuntimeWarning, stacklevel=3)
-        return ThreadPoolBackend(workers)
-    return ProcessPoolBackend(workers, payload)
+        return SerialBackend()
+    return ProcessPoolBackend(max_workers or default_worker_count(), payload)

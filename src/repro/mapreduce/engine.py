@@ -4,8 +4,8 @@ Executes jobs faithfully to the Hadoop dataflow -- map over splits,
 per-task combine, stable hash-partition, sort, reduce -- with exact
 accounting of records, bytes scanned, and shuffle volume.  Execution is
 delegated to a pluggable backend (:mod:`repro.mapreduce.backends`):
-``serial`` runs on the calling thread, ``threads`` and ``processes``
-fan tasks out over :mod:`concurrent.futures` pools.  Per-task
+``serial`` runs on the calling thread, ``processes`` fans tasks out over
+a :mod:`concurrent.futures` process pool.  Per-task
 :class:`Counters` are merged deterministically at each phase barrier, so
 counter totals, tracker accounting, and output are identical across
 backends; the :class:`CostModel` still translates counts into the
@@ -27,7 +27,6 @@ from repro.mapreduce.backends import (  # noqa: F401 - re-exported API
     ReduceTaskResult,
     SerialBackend,
     TaskFailedError,
-    ThreadPoolBackend,
     prepare_backend,
     sizeof,
 )
@@ -42,8 +41,8 @@ def run_job(job: MapReduceJob,
             max_workers: Optional[int] = None) -> JobResult:
     """Execute one job and return its output and counters.
 
-    ``backend`` selects how tasks execute: ``"serial"`` (default),
-    ``"threads"``, or ``"processes"``; ``max_workers`` sizes the pool.
+    ``backend`` selects how tasks execute: ``"serial"`` (default) or
+    ``"processes"``; ``max_workers`` sizes the pool.
     When ``backend`` is None the tracker's configured default applies.
     Output, counter totals, and tracker accounting are identical across
     backends: per-task counters merge at the phase barrier in task

@@ -70,11 +70,3 @@ class JobResult:
     name: str
     output: List[Tuple[Any, Any]]
     counters: Counters
-
-    def output_dict(self) -> dict:
-        """Output pairs as a dict (last value wins per key)."""
-        return dict(self.output)
-
-    def sorted_output(self) -> List[Tuple[Any, Any]]:
-        """Output pairs sorted by key representation."""
-        return sorted(self.output, key=lambda kv: repr(kv[0]))

@@ -59,7 +59,6 @@ class TimeSeriesStore:
         self._max_samples = max_samples
         self._series: Dict[Tuple[str, LabelItems], Deque[Point]] = {}
         self._kinds: Dict[str, str] = {}
-        self._sample_times: Deque[int] = deque(maxlen=max_samples)
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -88,8 +87,6 @@ class TimeSeriesStore:
                 self._record(name, items, now_ms, float(metric.value),
                              kind=metric.kind)
                 touched += 1
-        if not self._sample_times or self._sample_times[-1] != now_ms:
-            self._sample_times.append(now_ms)
         return touched
 
     def _record(self, name: str, items: LabelItems, now_ms: int,
@@ -114,10 +111,6 @@ class TimeSeriesStore:
         """``counter`` / ``gauge`` for a sampled name, None if unknown."""
         return self._kinds.get(name)
 
-    def sample_times(self) -> List[int]:
-        """The retained sample instants, oldest first."""
-        return list(self._sample_times)
-
     def points(self, name: str, **labels: object) -> List[Point]:
         """The retained (t_ms, value) points of one exact series."""
         return list(self._series.get((name, _label_items(labels)), ()))
@@ -131,19 +124,6 @@ class TimeSeriesStore:
             for t, value in points:
                 sums[t] = sums.get(t, 0.0) + value
         return sorted(sums.items())
-
-    def grouped_points(self, name: str,
-                       label: str) -> Dict[str, List[Point]]:
-        """Per-instant sums keyed by one label's value (e.g. category)."""
-        groups: Dict[str, Dict[int, float]] = {}
-        for (n, items), points in self._series.items():
-            if n != name:
-                continue
-            value = dict(items).get(label, "")
-            sums = groups.setdefault(value, {})
-            for t, v in points:
-                sums[t] = sums.get(t, 0.0) + v
-        return {key: sorted(sums.items()) for key, sums in groups.items()}
 
     def latest(self, name: str, **labels: object) -> Optional[float]:
         """Most recent sampled value of one exact series, or None."""
@@ -173,24 +153,9 @@ class TimeSeriesStore:
             out.append((t1, delta * 1000.0 / dt_ms))
         return out
 
-    def rate_points(self, name: str, **labels: object) -> List[Point]:
-        """Events/sec series of one exact counter series."""
-        return self.rates(self.points(name, **labels))
-
     def total_rate_points(self, name: str) -> List[Point]:
         """Events/sec of a counter summed across all its label sets."""
         return self.rates(self.total_points(name))
-
-    def grouped_rate_points(self, name: str,
-                            label: str) -> Dict[str, List[Point]]:
-        """Events/sec per label value -- the per-category rate view."""
-        return {key: self.rates(points)
-                for key, points in self.grouped_points(name, label).items()}
-
-    def latest_rate(self, name: str, **labels: object) -> Optional[float]:
-        """Most recent events/sec of one series (None with <2 samples)."""
-        rates = self.rate_points(name, **labels)
-        return rates[-1][1] if rates else None
 
     def __len__(self) -> int:
         return len(self._series)

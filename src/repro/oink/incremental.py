@@ -317,7 +317,8 @@ class IncrementalRollup:
         self._root = root
         self._materialize = materialize
         self._hour_contrib: Dict[LogHour, Dict[int, Counter]] = {}
-        self._day_tables: Dict[Date, Dict[int, Counter]] = {}
+        #: One live result per day: every fold changes its tables in
+        #: place, so a result a caller holds stays current.
         self._results: Dict[Date, RollupResult] = {}
         self.deltas_applied = 0
         self.corrections = 0
@@ -334,8 +335,9 @@ class IncrementalRollup:
         new_tables = rollup_tables(events)
         old_tables = self._hour_contrib.get(hour)
         date = (hour.year, hour.month, hour.day)
-        day = self._day_tables.setdefault(
-            date, {level: Counter() for level in new_tables})
+        result = self._results.get(date) or RollupResult(
+            date=date, tables={level: Counter() for level in new_tables})
+        day = result.tables
 
         changed = 0
         for level, new_table in new_tables.items():
@@ -366,8 +368,10 @@ class IncrementalRollup:
                                    + MILLIS_PER_HOUR))
             registry.histogram(obs_names.ROLLUP_CORRECTION_LAG,
                                category=self._category).observe(lag)
-        result = RollupResult(date=date, tables=day)
         self._results[date] = result
+        # Counts changed in place, possibly at an unchanged table length:
+        # the result's lookup index cannot see that by itself.
+        result.invalidate_index()
         if self._materialize:
             materialize_rollups(self._warehouse, result, root=self._root)
         return RollupDelta(hour=hour, date=date, correction=correction,

@@ -135,10 +135,6 @@ class Oink:
         """Did the named job succeed for a period start?"""
         return (name, period_start) in self._completed
 
-    def job_names(self) -> List[str]:
-        """All registered job names, sorted."""
-        return sorted(self._jobs)
-
     # -- internals -----------------------------------------------------
     def _due_periods(self, job: OinkJob) -> List[int]:
         """Period starts whose data window has fully elapsed.

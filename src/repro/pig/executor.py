@@ -16,7 +16,7 @@ real Pig writes between jobs).
 Mappers and reducers are module-level callables (not closures) so that
 compiled jobs can run on the engine's ``processes`` backend whenever the
 script's own row functions are picklable; scripts built from lambdas
-still work everywhere else and simply fall back to threads.
+still work everywhere else and simply run serial.
 """
 
 from __future__ import annotations

@@ -123,8 +123,8 @@ class PigServer:
     """Entry point owning the executor and its jobtracker.
 
     ``backend`` / ``max_workers`` select the MapReduce execution backend
-    (``"serial"``, ``"threads"``, ``"processes"``) for every job the
-    server's plans compile into; None defers to the tracker's default.
+    (``"serial"`` or ``"processes"``) for every job the server's plans
+    compile into; None defers to the tracker's default.
     """
 
     def __init__(self, tracker: Optional[Any] = None,

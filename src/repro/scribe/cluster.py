@@ -105,10 +105,6 @@ class Datacenter:
         return sorted(n for n, a in self.aggregators.items() if a.alive)
 
     # -- accounting --------------------------------------------------------
-    def total_received(self) -> int:
-        """Messages accepted by all aggregators."""
-        return sum(a.stats.received for a in self.aggregators.values())
-
     def total_written(self) -> int:
         """Messages rolled to staging HDFS by all aggregators."""
         return sum(a.stats.written for a in self.aggregators.values())

@@ -17,7 +17,6 @@ from repro.thriftlike.protocol import (
     writer_for,
 )
 from repro.thriftlike.struct import ThriftStruct
-from repro.thriftlike.proto import ProtoField, ProtoMessage
 from repro.thriftlike.codegen import (
     ThriftFileFormat,
     frame,
@@ -40,8 +39,6 @@ __all__ = [
     "reader_for",
     "writer_for",
     "ThriftStruct",
-    "ProtoField",
-    "ProtoMessage",
     "ThriftFileFormat",
     "frame",
     "iter_frames",

@@ -15,7 +15,6 @@ from repro.warehouse.predicates import (  # noqa: F401
     EqPredicate,
     EventPatternPredicate,
     InPredicate,
-    PatternPredicate,
     RangePredicate,
 )
 from repro.warehouse.segment import (  # noqa: F401

@@ -10,8 +10,6 @@ so they pickle cleanly into process-pool workers.
 
 from __future__ import annotations
 
-import fnmatch
-import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -62,10 +60,14 @@ class EventPatternPredicate:
     """``EventPattern(pattern).matches(column)`` -- the six-level
     event-name glob grammar from ``repro.core.names``.
 
-    Expansion works like :class:`PatternPredicate` but with the event
-    grammar's matcher, so pushdown agrees exactly with the row filter
-    it rides along (``EventNameFilter``). Picklable: the compiled
-    matcher is rebuilt on unpickle.
+    A pattern cannot be tested against min/max or a bloom directly, so it
+    first expands against the *segment's* complete sorted value list for
+    the column (recorded at write time when cardinality permits). With
+    the expansion in hand it behaves like :class:`InPredicate`; without
+    one (high-cardinality column) it abstains. Expansion uses the event
+    grammar's matcher, so pushdown agrees exactly with the row filter it
+    rides along (``EventNameFilter``). Picklable: the compiled matcher is
+    rebuilt on unpickle.
     """
 
     def __init__(self, pattern: str, column: str = "event_name") -> None:
@@ -105,37 +107,3 @@ class EventPatternPredicate:
     def __repr__(self) -> str:
         return (f"EventPatternPredicate({self.pattern!r}, "
                 f"column={self.column!r})")
-
-
-@dataclass(frozen=True)
-class PatternPredicate:
-    """``fnmatch(column, pattern)`` -- the event-name glob family.
-
-    A glob cannot be tested against min/max or a bloom directly, so it
-    first expands against the *segment's* complete sorted value list for
-    the column (recorded at write time when cardinality permits). With
-    the expansion in hand it behaves like :class:`InPredicate`; without
-    one (high-cardinality column) it abstains.
-    """
-
-    column: str
-    pattern: str
-
-    def expand(self,
-               column_values: Optional[Sequence[str]]) -> Optional[List[str]]:
-        """The segment values the glob matches; None = cannot tell."""
-        if column_values is None:
-            return None
-        matcher = re.compile(fnmatch.translate(self.pattern))
-        return [v for v in column_values
-                if isinstance(v, str) and matcher.match(v)]
-
-    def block_may_match(self, zone: ZoneMap,
-                        column_values: Optional[Sequence] = None) -> bool:
-        """Abstain without a value list; else test the expansion."""
-        terms = self.expand(column_values)
-        if terms is None:
-            return True
-        # A complete value list that yields zero matches proves *every*
-        # block empty for this pattern; otherwise test the expansion.
-        return any(zone.might_contain(t) for t in terms)

@@ -23,12 +23,6 @@ class TestConstruction:
         assert (dictionary.code_for("web:a::::x")
                 < dictionary.code_for("web:b::::y"))
 
-    def test_from_events_counts_stream(self):
-        stream = ["a"] * 3 + ["b"] * 5 + ["c"]
-        dictionary = EventDictionary.from_events(stream)
-        assert dictionary.code_for("b") < dictionary.code_for("a") \
-            < dictionary.code_for("c")
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(DictionaryError):
             EventDictionary(["a", "a"])

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.layouts import (
-    ColumnarLayout,
-    SessionReorganizedLayout,
-    reorganize_day,
-)
+from repro.core.layouts import reorganize_day
 from repro.core.builder import SessionSequenceBuilder
 from repro.core.event import ClientEvent
 from repro.core.sessionizer import Sessionizer
@@ -55,57 +51,3 @@ class TestSessionReorganizedLayout:
         files_first = warehouse.glob_files(dir1)
         layout2, dir2 = reorganize_day(warehouse, *date)
         assert warehouse.glob_files(dir2) == files_first
-
-
-class TestColumnarLayout:
-    @pytest.fixture(scope="class")
-    def columnar(self, warehouse, date):
-        layout = ColumnarLayout(warehouse)
-        directory = layout.materialize(*date)
-        return layout, directory
-
-    def test_rows_match_raw_events(self, columnar, warehouse, date):
-        layout, __ = columnar
-        builder = SessionSequenceBuilder(warehouse)
-        truth = sorted((e.user_id, e.session_id, e.event_name)
-                       for e in builder.iter_day_events(*date))
-        fmt = layout.input_format(*date)
-        rows = sorted((r.user_id, r.session_id, r.event_name)
-                      for split in fmt.splits()
-                      for r in fmt.read_split(split))
-        assert rows == truth
-
-    def test_splits_mirror_raw_blocks(self, columnar, warehouse, date):
-        """RCFile's defining limitation: map-task count tracks the raw
-        data's blocks, not the (smaller) column bytes."""
-        from repro.hdfs.layout import day_path
-
-        layout, __ = columnar
-        raw_blocks = warehouse.total_block_count(
-            day_path("client_events", *date))
-        fmt = layout.input_format(*date)
-        assert len(fmt.splits()) == raw_blocks
-
-    def test_column_bytes_much_smaller(self, columnar, warehouse, date,
-                                       build_result):
-        __, directory = columnar
-        column_bytes = warehouse.total_stored_bytes(directory)
-        assert column_bytes < build_result.raw_bytes / 5
-
-    def test_split_byte_accounting_sums_to_store(self, columnar):
-        layout, __ = columnar
-        fmt = layout.input_format(2012, 3, 10)
-        splits = fmt.splits()
-        by_path = {}
-        for split in splits:
-            by_path.setdefault(split.path, 0)
-            by_path[split.path] += split.length_bytes
-        for path, total in by_path.items():
-            assert total == layout._warehouse.stored_bytes(path)
-
-    def test_records_partitioned_without_loss(self, columnar):
-        layout, __ = columnar
-        fmt = layout.input_format(2012, 3, 10)
-        seen = sum(len(fmt.read_split(s)) for s in fmt.splits())
-        full = sum(len(fmt._rows_of(p)) for p in fmt._paths)
-        assert seen == full

@@ -106,10 +106,6 @@ class TestSessionProperties:
         (session,) = Sessionizer().sessionize(events)
         assert session.event_names == [NAME, other]
 
-    def test_iter_sessions(self):
-        events = [_event(1, "a", 0)]
-        assert len(list(Sessionizer().iter_sessions(events))) == 1
-
 
 class TestPropertyInvariants:
     @given(st.lists(

@@ -8,6 +8,7 @@ own mini warehouse -- the shared session fixtures are never mutated.
 """
 
 import logging
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -433,16 +434,19 @@ class TestExecutorPushdown:
 
 
 class TestBuildBackends:
-    """The build is a real MR job: parallel backends give identical
+    """The build is a real MR job: the processes backend gives identical
     partitions."""
 
-    def test_serial_threads_parity(self):
-        serial_fs = _mini_world(hours=(3, 4))
-        threads_fs = _mini_world(hours=(3, 4))
+    def test_serial_processes_parity(self):
+        # Uncompressed, so the hour has more splits than run inline.
+        serial_fs = _mini_world(codec="none", hours=(3, 4))
+        processes_fs = _mini_world(codec="none", hours=(3, 4))
         directory = _hour(3).path()
         a = build_hour_index(serial_fs, directory, backend="serial")
-        b = build_hour_index(threads_fs, directory, backend="threads",
-                             max_workers=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback to serial
+            b = build_hour_index(processes_fs, directory,
+                                 backend="processes", max_workers=2)
         assert a.manifest.files == b.manifest.files
         assert a.fields.keys() == b.fields.keys()
         for name in a.fields:

@@ -33,19 +33,10 @@ class TestLogHour:
         with pytest.raises(ValueError):
             LogHour("c", 2012, 1, 32, 0)
 
-    def test_next_hour_rollover(self):
-        hour = LogHour("c", 2012, 1, 1, 23)
-        nxt = hour.next_hour()
-        assert (nxt.day, nxt.hour) == (2, 0)
-
     def test_ordering(self):
         a = LogHour("c", 2012, 1, 1, 5)
         b = LogHour("c", 2012, 1, 1, 6)
         assert a < b
-
-    def test_with_category(self):
-        hour = LogHour("a", 2012, 1, 1, 0).with_category("b")
-        assert hour.category == "b"
 
 
 class TestParse:

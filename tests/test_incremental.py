@@ -259,6 +259,25 @@ class TestIncrementalRollup:
         assert loaded.count(5, key5) == 0
         assert all(key5 != key[0] for key in loaded.tables[5])
 
+    def test_held_result_sees_every_later_fold(self):
+        """A result a caller holds answers with the day's current counts
+        after later folds -- also a re-fold that swaps one key for
+        another and so leaves every table's length unchanged."""
+        rollup = IncrementalRollup(HDFS(), category=CATEGORY,
+                                   materialize=False)
+        key5 = ("web", "home", "main", "stream", "tweet", "impression")
+        fav5 = ("web", "home", "main", "stream", "tweet", "favorite")
+        rollup.fold_hour(self.HOUR0, [ev(1000)], now_ms=62 * MIN)
+        held = rollup.result_for_day((2012, 1, 1))
+        assert held.count(5, key5) == 1
+        rollup.fold_hour(self.HOUR0, [ev(1000, name=NAMES[1])],
+                         now_ms=70 * MIN)
+        assert (held.count(5, key5), held.count(5, fav5)) == (0, 1)
+        rollup.fold_hour(LogHour(CATEGORY, 2012, 1, 1, 1),
+                         [ev(61 * MIN, name=NAMES[1])], now_ms=122 * MIN)
+        assert held.count(5, fav5) == 2
+        assert rollup.result_for_day((2012, 1, 1)) is held
+
     def test_identical_refold_is_a_noop(self):
         warehouse = HDFS()
         rollup = IncrementalRollup(warehouse, category=CATEGORY)

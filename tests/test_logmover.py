@@ -125,7 +125,6 @@ class TestMove:
         result = mover.move_hour(HOUR)
         assert result.input_files == 20
         assert result.output_files == 1
-        assert result.merge_ratio == 20.0
 
     def test_target_file_bytes_splits_output(self):
         s1, warehouse = HDFS(), HDFS()
@@ -256,7 +255,8 @@ class TestMultipleCategories:
     def test_categories_move_independently(self):
         staging, warehouse = HDFS(), HDFS()
         mover = LogMover({"dc1": staging}, warehouse)
-        other_hour = HOUR.with_category("ad_impressions")
+        other_hour = LogHour("ad_impressions", HOUR.year, HOUR.month,
+                             HOUR.day, HOUR.hour)
         _stage(staging, "dc1", "p1", [b"ce-1"])
         staging.create(f"{staging_path('dc1', other_hour)}/p1",
                        encode_messages([b"ad-1", b"ad-2"]), codec="zlib")

@@ -130,7 +130,7 @@ class TestEngine:
     def test_word_count(self):
         fmt = InMemoryInputFormat(["a b a", "b c"], records_per_split=1)
         result = run_job(_word_count_job(fmt))
-        assert result.output_dict() == {"a": 2, "b": 2, "c": 1}
+        assert dict(result.output) == {"a": 2, "b": 2, "c": 1}
 
     def test_map_only_job(self):
         fmt = InMemoryInputFormat([1, 2, 3], records_per_split=2)
@@ -163,7 +163,7 @@ class TestEngine:
                                                   records_per_split=1))
         job.combiner = combiner
         combined = run_job(job)
-        assert combined.output_dict() == plain.output_dict() == {"a": 20}
+        assert dict(combined.output) == dict(plain.output) == {"a": 20}
         assert (combined.counters.get(GROUP_IO, SHUFFLE_RECORDS)
                 < plain.counters.get(GROUP_IO, SHUFFLE_RECORDS))
 
@@ -244,7 +244,7 @@ class TestTaskRetries:
             reducer=lambda k, vs, ctx: ctx.emit(k, sum(vs)),
             max_task_attempts=3)
         result = run_job(job)
-        assert result.output_dict() == {"a": 1, "b": 1}
+        assert dict(result.output) == {"a": 1, "b": 1}
         assert result.counters.get(GROUP_TASK, "map_task_failures") == 1
         # attempts counted as spawned tasks (the jobtracker sees retries)
         assert result.counters.get(GROUP_TASK, MAP_TASKS) == 2
@@ -279,7 +279,7 @@ class TestTaskRetries:
             reducer=lambda k, vs, ctx: ctx.emit(k, sum(vs)),
             max_task_attempts=2)
         result = run_job(job)
-        assert result.output_dict() == {"a": 1}  # not 2
+        assert dict(result.output) == {"a": 1}  # not 2
 
     def test_invalid_max_attempts(self):
         with pytest.raises(ValueError):

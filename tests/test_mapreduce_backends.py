@@ -1,9 +1,9 @@
 """Parallel execution backends: parity, stability, fallback, metrics.
 
-The engine's contract is that ``serial``, ``threads``, and ``processes``
-produce byte-identical results: same output, same counter totals, same
-tracker accounting. These tests pin that contract, plus the
-hash-seed-independent partitioner and the closure->threads fallback.
+The engine's contract is that ``serial`` and ``processes`` produce
+byte-identical results: same output, same counter totals, same tracker
+accounting. These tests pin that contract, plus the
+hash-seed-independent partitioner and the closure->serial fallback.
 """
 
 import os
@@ -59,20 +59,18 @@ def _run(job, backend):
 class TestBackendParity:
     def test_output_and_counters_identical(self):
         baseline, base_tracker = _run(_wc_job(), "serial")
-        for backend in ("threads", "processes"):
-            result, tracker = _run(_wc_job(), backend)
-            assert result.output == baseline.output  # exact order too
-            assert result.counters.as_dict() == baseline.counters.as_dict()
-            assert (tracker.runs[0].simulated_ms
-                    == base_tracker.runs[0].simulated_ms)
-            assert tracker.runs[0].backend == backend
+        result, tracker = _run(_wc_job(), "processes")
+        assert result.output == baseline.output  # exact order too
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+        assert (tracker.runs[0].simulated_ms
+                == base_tracker.runs[0].simulated_ms)
+        assert tracker.runs[0].backend == "processes"
 
     def test_combiner_parity(self):
         baseline, __ = _run(_wc_job(combiner=sum_reducer), "serial")
-        for backend in ("threads", "processes"):
-            result, __ = _run(_wc_job(combiner=sum_reducer), backend)
-            assert result.output == baseline.output
-            assert result.counters.as_dict() == baseline.counters.as_dict()
+        result, __ = _run(_wc_job(combiner=sum_reducer), "processes")
+        assert result.output == baseline.output
+        assert result.counters.as_dict() == baseline.counters.as_dict()
 
     def test_map_only_parity(self):
         def job():
@@ -83,20 +81,20 @@ class TestBackendParity:
         baseline, __ = _run(job(), "serial")
         assert [v for __, v in baseline.output] == [r.upper()
                                                     for r in RECORDS]
-        for backend in ("threads", "processes"):
-            result, __ = _run(job(), backend)
-            assert result.output == baseline.output
+        result, __ = _run(job(), "processes")
+        assert result.output == baseline.output
 
     def test_tracker_default_backend_applies(self):
-        tracker = JobTracker(backend="threads", max_workers=3)
+        tracker = JobTracker(backend="processes", max_workers=3)
         run_job(_wc_job(), tracker)
-        assert tracker.runs[0].backend == "threads"
+        assert tracker.runs[0].backend == "processes"
         assert tracker.runs[0].workers == 3
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_job(_wc_job(), backend="gpu")
-        assert "gpu" not in BACKEND_NAMES
+        for name in ("gpu", "threads"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                run_job(_wc_job(), backend=name)
+        assert BACKEND_NAMES == ("serial", "processes")
 
     def test_default_worker_count_bounded(self):
         assert 1 <= default_worker_count() <= 8
@@ -109,22 +107,21 @@ class TestSmallPhaseInline:
     @staticmethod
     def _small_job():
         # 3 splits: under INLINE_PHASE_TASKS, so the map phase (and the
-        # 4-partition reduce phase) run inline on pooled backends.
+        # 4-partition reduce phase) run inline on the pooled backend.
         return MapReduceJob(name="wc_small",
                             input_format=InMemoryInputFormat(RECORDS, 40),
                             mapper=wc_mapper, reducer=sum_reducer)
 
     def test_inline_matches_serial_and_keeps_name(self):
         baseline, __ = _run(self._small_job(), "serial")
-        for backend in ("threads", "processes"):
-            result, tracker = _run(self._small_job(), backend)
-            assert result.output == baseline.output
-            assert result.counters.as_dict() == baseline.counters.as_dict()
-            assert tracker.runs[0].backend == backend
+        result, tracker = _run(self._small_job(), "processes")
+        assert result.output == baseline.output
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+        assert tracker.runs[0].backend == "processes"
 
 
 class TestProcessFallback:
-    def test_closure_job_falls_back_to_threads(self):
+    def test_closure_job_falls_back_to_serial(self):
         captured = {}
 
         def mapper(record, ctx):  # a closure: not picklable
@@ -135,11 +132,11 @@ class TestProcessFallback:
                            input_format=InMemoryInputFormat(RECORDS, 10),
                            mapper=mapper, reducer=sum_reducer)
         tracker = JobTracker()
-        with pytest.warns(RuntimeWarning, match="falling back to 'threads'"):
+        with pytest.warns(RuntimeWarning, match="falling back to 'serial'"):
             result = run_job(job, tracker, backend="processes")
         baseline, __ = _run(_wc_job(), "serial")
         assert result.output == baseline.output
-        assert tracker.runs[0].backend == "threads"
+        assert tracker.runs[0].backend == "serial"
 
     def test_picklable_job_does_not_warn(self):
         with warnings.catch_warnings():
@@ -197,7 +194,7 @@ class TestStablePartitioning:
         identical under different hash seeds and backends."""
         script = (
             "from tests.test_mapreduce_backends import _wc_job, _run\n"
-            "for backend in ('serial', 'threads'):\n"
+            "for backend in ('serial', 'processes'):\n"
             "    result, __ = _run(_wc_job(), backend)\n"
             "    print(result.output)\n"
         )
@@ -218,7 +215,7 @@ class TestTaskMetrics:
         registry = MetricsRegistry()
         old = set_default_registry(registry)
         try:
-            result, __ = _run(_wc_job(), "threads")
+            result, __ = _run(_wc_job(), "processes")
         finally:
             set_default_registry(old)
         splits = result.counters.get("task", "map_tasks")
@@ -235,5 +232,5 @@ class TestTaskMetrics:
         assert wait_hist.count == splits
         assert all(v >= 0.0 for v in wait_hist.values())
         gauge = registry.gauge(obs_names.MAPREDUCE_WORKERS, job="wc",
-                               backend="threads")
+                               backend="processes")
         assert gauge.value == 4

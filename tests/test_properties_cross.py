@@ -107,7 +107,7 @@ class TestMapReduceInvariants:
                            mapper=mapper, reducer=reducer,
                            num_reducers=reducers)
         expected = Counter(w for doc in docs for w in doc.split())
-        assert run_job(job).output_dict() == dict(expected)
+        assert dict(run_job(job).output) == dict(expected)
 
     @given(st.lists(st.text(alphabet="ab ", max_size=15), max_size=20))
     @settings(max_examples=30, deadline=None)
@@ -128,8 +128,8 @@ class TestMapReduceInvariants:
                                 input_format=InMemoryInputFormat(docs, 2),
                                 mapper=mapper, reducer=reduce_sum,
                                 combiner=reduce_sum)
-        assert run_job(plain).output_dict() == \
-            run_job(combined).output_dict()
+        assert dict(run_job(plain).output) == \
+            dict(run_job(combined).output)
 
     @given(st.lists(st.integers(), min_size=1, max_size=200),
            st.integers(min_value=1, max_value=50))

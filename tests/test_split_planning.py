@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.analytics.counting import count_events_raw, count_events_selective
 from repro.core.builder import write_day_events
 from repro.core.event import CLIENT_EVENTS_CATEGORY, ClientEvent
-from repro.core.layouts import ColumnarLayout
 from repro.elephanttwin.buildjob import WarehouseIndex, build_day_indexes
 from repro.elephanttwin.inputformat import IndexedInputFormat
 from repro.hdfs.layout import (
@@ -160,16 +159,30 @@ class TestPlanningIsMetadataOnly:
                                      projection=("event_name",))
         assert len(listings) == 1
 
-    def test_legacy_columnar_layout_plans_without_opening(self):
-        fs = _world(index=False, segments=False)
-        layout = ColumnarLayout(fs)
-        layout.materialize(*DATE)
-        fs.opened.clear()
-        fmt = layout.input_format(*DATE)
-        splits = fmt.splits()
-        assert splits and fs.opened == []
-        rows = [row for split in splits for row in fmt.read_split(split)]
-        assert len(rows) == 40 * len(HOURS)
+
+class TestColumnarShape:
+    """§4.2: a columnar layout "would not reduce the number of mappers"."""
+
+    def test_segments_keep_the_raw_map_tasks_and_cut_the_bytes(
+            self, workload, date):
+        """With every raw file one block of ``block_rows`` events, the
+        segment scan runs one map task per raw block, reads at most a
+        fifth of the raw bytes, still shuffles, and answers the same."""
+        runs = []
+        for segments in (False, True):
+            fs = HDFS()
+            write_day_events(fs, workload.events, *date, events_per_file=256)
+            if segments:
+                build_day_segments(fs, *date, block_rows=256)
+            tracker = JobTracker()
+            count = count_events_raw(fs, date, "*:query", tracker=tracker,
+                                     mode="sessions")
+            runs.append((count, tracker.runs[0]))
+        (raw_count, raw_scan), (count, scan) = runs
+        assert count == raw_count > 0
+        assert scan.map_tasks == raw_scan.map_tasks > 1
+        assert scan.input_bytes * 5 <= raw_scan.input_bytes
+        assert scan.shuffle_records == raw_scan.shuffle_records > 0
 
 
 class TestDecodeFollowsPruning:
@@ -264,7 +277,7 @@ class TestPlanShipsToWorkers:
                     block_size=256)
         paths = data_files(fs, "/logs")
         results = {}
-        for backend in ("serial", "threads", "processes"):
+        for backend in ("serial", "processes"):
             fmt = FileInputFormat(fs, paths, _FMT.decode)
             splits = fmt.splits()
             assert pickle.loads(pickle.dumps(splits)) == splits
@@ -277,6 +290,5 @@ class TestPlanShipsToWorkers:
             results[backend] = (result.output, result.counters.as_dict())
             if backend == "processes":
                 assert fmt._cache == {}
-        assert results["threads"] == results["serial"]
         assert results["processes"] == results["serial"]
         assert dict(results["serial"][0]) == {COMMON: 117, RARE: 3}

@@ -2,7 +2,7 @@
 
 Everything here goes through the public surface only (``to_bytes`` /
 ``from_bytes`` / ``to_dict``, ``iter_frames``, ``encode_block`` /
-``decode_block``, ``ProtoMessage``), so the same file runs against the
+``decode_block``), so the same file runs against the
 ``BytesIO`` decoder of commit 7cfc997 and against the positional
 cursor + per-class plans that replaced it. The digests and the flip
 histogram were captured at 7cfc997, before any source edit, by running
@@ -47,7 +47,6 @@ from hypothesis import strategies as st
 from repro.core.event import ClientEvent
 from repro.scribe.message import decode_envelope, encode_envelope
 from repro.thriftlike.codegen import frame, iter_frames
-from repro.thriftlike.proto import ProtoField, ProtoMessage
 from repro.thriftlike.protocol import write_varint
 from repro.thriftlike.struct import ThriftStruct
 from repro.thriftlike.types import (
@@ -92,8 +91,6 @@ GOLDEN = {
         "ba4d0ad007a313150c1eb40cdae00a3c218f36fa0ca80f22dfd44215b1e74e9e",
     "encoded.kitchen_sink.compact":
         "3c8787a0d7490eea81621abf673b353c1849942cec8450fc5639d48d1dec58aa",
-    "encoded.proto":
-        "f4c740fac31f01a415fed5e65f65e68d1e341f8733d9e416f1ccd6afb3bff52b",
 }
 
 FLIP_HISTOGRAM_AT_PARENT = {"decoded": 8732, "ProtocolError": 2557,
@@ -431,41 +428,6 @@ def test_decode_block_truncations(encoding):
                 decode_block(encoding, block[:cut])
 
 
-class _Leaf(ProtoMessage):
-    FIELDS = (ProtoField(1, "label", "string"),
-              ProtoField(2, "weight", "double"))
-
-
-class _Tree(ProtoMessage):
-    FIELDS = (ProtoField(1, "id", "int64"), ProtoField(2, "delta", "sint64"),
-              ProtoField(3, "count", "uint64"), ProtoField(4, "ok", "bool"),
-              ProtoField(5, "name", "string"), ProtoField(6, "raw", "bytes"),
-              ProtoField(7, "leaf", "message", message_cls=_Leaf),
-              ProtoField(8, "leaves", "message", repeated=True,
-                         message_cls=_Leaf),
-              ProtoField(9, "score", "double"))
-
-
-def _tree():
-    return _Tree(id=-5, delta=-300, count=2 ** 40, ok=True, name="café",
-                 raw=b"\xff\x00", leaf=_Leaf(label="l", weight=0.5),
-                 leaves=[_Leaf(label="a"), _Leaf(weight=2.0)], score=1.5)
-
-
-def test_proto_message_truncations():
-    tree = _tree()
-    wire = tree.to_bytes()
-    assert _Tree.from_bytes(wire) == tree
-    decoded = 0
-    for cut in range(len(wire)):
-        try:
-            _Tree.from_bytes(wire[:cut])
-        except ProtocolError:
-            continue
-        decoded += 1  # a cut on a field boundary is a shorter message
-    assert 0 < decoded < len(wire) // 2
-
-
 def test_corruption_never_escapes_as_a_bare_builtin_error():
     """Flips on the kitchen-sink schema (every type and nesting), both
     protocols: whatever happens is a ``ThriftError``, never an
@@ -499,7 +461,6 @@ def _encoded():
         out[f"encoded.block.{encoding}"] = (
             encode_block(encoding, values)
             + encode_block(encoding, [v for v in values if v is not None]))
-    out["encoded.proto"] = _tree().to_bytes()
     out["encoded.envelope"] = b"".join(
         encode_envelope("агрегатор-日本", seq, b"\x00msg\xff")
         for seq in _ENVELOPE_SEQS)
