@@ -34,7 +34,7 @@ import json
 import os
 import time
 
-from repro.faults.chaos import _ALERT_EXPECTATIONS, run_chaos
+from repro.faults.chaos import ALERT_EXPECTATIONS, run_chaos
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.monitor import VERDICT_COMPLETE
 
@@ -77,7 +77,7 @@ def storm_scenario(hours):
     # Zero false negatives: each injected fault class fired its alert
     # (one episode per distinct outage window) and none is still firing.
     coverage = {}
-    for _prefix, _kind, alert_name in _ALERT_EXPECTATIONS:
+    for _prefix, _kind, alert_name in ALERT_EXPECTATIONS:
         episodes = engine.episodes(alert_name)
         coverage[alert_name] = {
             "episodes": len(episodes),

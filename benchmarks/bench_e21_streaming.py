@@ -39,7 +39,7 @@ from repro.faults.chaos import (
     HOUR_MS,
     MINUTE_MS,
     SLICES_PER_HOUR,
-    _drain,
+    drain,
 )
 from repro.faults.retry import RetryPolicy
 from repro.hdfs.layout import LOGS_ROOT, hour_for_millis
@@ -165,14 +165,14 @@ def _run_leg(streaming, hours):
                         logged_at[payload] = clock.now()
                         daemon.log(LogEntry(CATEGORY, payload))
             clock.advance(COLLECT_LAG_MIN * MINUTE_MS)
-            _drain(deployment)
+            drain(deployment)
             if streaming:
                 mover.poll(CATEGORY, force=True)
                 observe()
         boundary = (h + 1) * HOUR_MS
         if clock.now() < boundary:
             clock.advance(boundary - clock.now())
-        _drain(deployment)
+        drain(deployment)
         if streaming:
             mover.poll(CATEGORY, force=True)
             observe()

@@ -43,7 +43,7 @@ from repro.faults.chaos import (
     HOUR_MS,
     MINUTE_MS,
     SLICES_PER_HOUR,
-    _drain,
+    drain,
 )
 from repro.hdfs.layout import LOGS_ROOT, LogHour, hour_for_millis, staging_path
 from repro.hdfs.namenode import HDFS
@@ -145,7 +145,7 @@ def ingest_scenario(scale):
             peak_aggregator_pending = max(
                 peak_aggregator_pending,
                 max(a.pending_messages for a in aggregators))
-            _drain(deployment)
+            drain(deployment)
         hours = [hour_for_millis(category, h * HOUR_MS)
                  for category, __ in CATEGORIES]
         mover.move_hours(hours, require_complete=False)

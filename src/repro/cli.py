@@ -383,21 +383,18 @@ def cmd_chaos(args) -> int:
     A fresh registry isolates the run's metrics (faults injected, retry
     attempts, duplicates skipped) from anything else in the process.
     """
-    from repro.faults.chaos import run_chaos, run_partition_chaos
+    from repro.faults.chaos import HOURLY, PARTITION, STREAMING, run_chaos
     from repro.obs import MetricsRegistry, set_default_registry
 
     set_default_registry(MetricsRegistry())
-    if args.partition:
-        if args.monitor or args.streaming or args.no_faults:
-            print("--partition cannot be combined with --monitor, "
-                  "--streaming, or --no-faults")
-            return 2
-        report = run_partition_chaos(args.seed, hours=args.hours)
-        print(report.summary())
-        return 0 if report.ok else 1
-    report = run_chaos(args.seed, hours=args.hours, monitor=args.monitor,
-                       faults=not args.no_faults,
-                       streaming=args.streaming)
+    if args.partition and (args.monitor or args.streaming or args.no_faults):
+        print("--partition cannot be combined with --monitor, "
+              "--streaming, or --no-faults")
+        return 2
+    scenario = (PARTITION if args.partition
+                else STREAMING if args.streaming else HOURLY)
+    report = run_chaos(args.seed, args.hours, scenario,
+                       monitor=args.monitor, faults=not args.no_faults)
     print(report.summary())
     if report.monitor is not None:
         from repro.obs.monitor import format_alerts, format_audits
@@ -417,14 +414,14 @@ def cmd_mover(args) -> int:
     own behavior -- in stream mode that includes micro-batch counts,
     sealed hours, and the closing watermark lag.
     """
-    from repro.faults.chaos import run_chaos
+    from repro.faults.chaos import HOURLY, STREAMING, run_chaos
     from repro.obs import MetricsRegistry, set_default_registry
     from repro.obs import names as obs_names
 
     registry = MetricsRegistry()
     set_default_registry(registry)
-    report = run_chaos(args.seed, hours=args.hours, faults=False,
-                       streaming=args.stream)
+    report = run_chaos(args.seed, args.hours,
+                       STREAMING if args.stream else HOURLY, faults=False)
     mode = "streaming micro-batch" if args.stream else "hourly"
     print(f"log mover ({mode}): hours={args.hours} "
           f"accepted={report.accepted} landed={report.landed} "

@@ -33,10 +33,11 @@ Protocol per hour directory ``/logs/<category>/YYYY/MM/DD/HH``:
   auditor as ``late`` verdicts while the data is in flight.
 
 Crash windows are the fault sites ``logmover.<category>.batch.pre_rename``
-/ ``.batch.pre_cleanup`` / ``.seal.pre_rename``, so the chaos soak can
-prove a re-poll converges. ``moves`` holds one *cumulative*
-:class:`MoveResult` per hour (updated in place), so the conservation audit
-and the data-quality auditor work on a streaming pipeline unchanged.
+/ ``.batch.pre_cleanup`` / ``.seal.pre_commit`` / ``.seal.pre_rename``, so
+the chaos soak can prove a re-poll converges. ``moves`` holds one
+*cumulative* :class:`MoveResult` per hour (updated in place), so the
+conservation audit and the data-quality auditor work on a streaming
+pipeline unchanged.
 """
 
 from __future__ import annotations
@@ -314,7 +315,8 @@ class StreamingMover(LandingCore):
                     decode_messages(self._warehouse.open_bytes(path)))
             file_counts = self.publish_hour(
                 hour, messages,
-                pre_delete=f"logmover.{hour.category}.seal.pre_rename")
+                pre_delete=f"logmover.{hour.category}.seal.pre_commit",
+                pre_rename=f"logmover.{hour.category}.seal.pre_rename")
             state.result.output_files = len(file_counts)
             state.result.moved_at_ms = self._clock.now()
             registry.counter(obs_names.MOVER_FILES_WRITTEN,

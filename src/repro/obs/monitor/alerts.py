@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.clock import MILLIS_PER_HOUR
+from repro.clock import MILLIS_PER_MINUTE
 from repro.obs import names as obs_names
 from repro.obs.metrics import MetricsRegistry, get_default_registry
 from repro.obs.monitor.audit import (
@@ -146,9 +146,11 @@ class SeasonalRule(AlertRule):
     """Fires when the current hour's rate deviates from its seasonal norm.
 
     The baseline for hour-of-day ``h`` is the mean of every stored rate
-    point that fell in hour ``h`` of a *previous* day, so the rule needs
-    at least one full prior day of history before it can fire -- and a
-    store sized to hold it (the monitor CLI replays multiple days).
+    point that fell in hour ``h`` of a *previous* day at or before the
+    current minute of the hour -- a partial hour is compared with the
+    same part of earlier hours, never with their whole -- so the rule
+    needs at least one full prior day of history before it can fire,
+    and a store sized to hold it (the monitor CLI replays multiple days).
     ``tolerance`` is the allowed relative deviation: 0.6 means the
     current mean rate may sit anywhere in [0.4x, 1.6x] of baseline.
     """
@@ -161,25 +163,26 @@ class SeasonalRule(AlertRule):
         self.min_baseline_rate = min_baseline_rate
 
     @staticmethod
-    def _slot(t_ms: int) -> Tuple[int, int]:
-        """(day index, hour of day) of a rate point.
+    def _slot(t_ms: int) -> Tuple[int, int, int]:
+        """(day index, hour of day, minute of hour) of a rate point.
 
         Rate points sit at the *end* of their delta interval, so an
         instant exactly on an hour boundary belongs to the hour before.
         """
-        hour_index = max(0, t_ms - 1) // MILLIS_PER_HOUR
-        return hour_index // HOURS_PER_DAY, hour_index % HOURS_PER_DAY
+        hour_index, minute = divmod(max(0, t_ms - 1) // MILLIS_PER_MINUTE, 60)
+        return hour_index // HOURS_PER_DAY, hour_index % HOURS_PER_DAY, minute
 
     def evaluate(self, ctx: MonitorContext) -> Optional[str]:
-        day, hour_of_day = self._slot(ctx.now_ms)
+        day, hour_of_day, minute = self._slot(ctx.now_ms)
         baseline_points: List[float] = []
         current_points: List[float] = []
         for t, rate in ctx.store.rates(ctx.store.total_points(self.metric)):
-            point_day, point_hod = self._slot(t)
+            point_day, point_hod, point_minute = self._slot(t)
             if point_hod != hour_of_day:
                 continue
             if point_day < day:
-                baseline_points.append(rate)
+                if point_minute <= minute:
+                    baseline_points.append(rate)
             elif point_day == day:
                 current_points.append(rate)
         if not baseline_points or not current_points:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.names import (
-    LEVELS,
     EventName,
     EventPattern,
     InvalidEventNameError,

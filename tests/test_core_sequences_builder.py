@@ -11,7 +11,7 @@ from repro.core.builder import (
 from repro.core.dictionary import EventDictionary
 from repro.core.event import ClientEvent
 from repro.core.sequences import SessionSequenceRecord
-from repro.core.sessionizer import Session, Sessionizer
+from repro.core.sessionizer import Session
 from repro.hdfs.namenode import HDFS
 
 NAMES = ["web:home:timeline:stream:tweet:impression",

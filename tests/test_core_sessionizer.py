@@ -7,7 +7,6 @@ from repro.clock import MILLIS_PER_MINUTE
 from repro.core.event import ClientEvent
 from repro.core.sessionizer import (
     DEFAULT_INACTIVITY_GAP_MS,
-    Session,
     Sessionizer,
 )
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.clock import MILLIS_PER_HOUR
 from repro.hdfs.layout import (
-    LOGS_ROOT,
     LogHour,
     day_path,
     hour_for_millis,

@@ -10,10 +10,10 @@ import pytest
 
 from repro.analytics.counting import count_events_sequences
 from repro.analytics.funnel import run_funnel
-from repro.clock import MILLIS_PER_DAY, MILLIS_PER_HOUR, LogicalClock
+from repro.clock import MILLIS_PER_DAY, MILLIS_PER_HOUR
 from repro.core.builder import SessionSequenceBuilder
-from repro.core.event import CLIENT_EVENTS_CATEGORY, ClientEvent
-from repro.hdfs.layout import LogHour, hours_of_day
+from repro.core.event import CLIENT_EVENTS_CATEGORY
+from repro.hdfs.layout import hours_of_day
 from repro.logmover.mover import LogMover
 from repro.oink.scheduler import Oink
 from repro.scribe.cluster import ScribeDeployment

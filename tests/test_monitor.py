@@ -319,6 +319,24 @@ class TestAlertRules:
             messages.append(rule.evaluate(_ctx(store, now)))
         assert not any(messages)
 
+    def test_seasonal_compares_partial_hour_with_same_part(
+            self, fresh_registry):
+        # Every hour opens with a burst: 30 msgs in its first 10-minute
+        # sample, 10 in each later one. Early in an hour the current mean
+        # is the burst; a whole-hour baseline would call that an anomaly.
+        counter = fresh_registry.counter("accepted_total")
+        store = TimeSeriesStore(max_samples=600)
+        rule = SeasonalRule("seasonal", "accepted_total", tolerance=0.5)
+        now = 0
+        store.sample(now)  # so the first burst has a rate too
+        messages = []
+        for step in range(30 * 6):  # a day and a quarter, same shape
+            now += 10 * MINUTE
+            counter.inc(30 if step % 6 == 0 else 10)
+            store.sample(now)
+            messages.append(rule.evaluate(_ctx(store, now)))
+        assert not any(messages)
+
     def test_completeness_rule_lists_unhealthy_hours(self, fresh_registry):
         from repro.hdfs.layout import hour_for_millis
 

@@ -1,7 +1,5 @@
 """NLP user-modeling tests: n-grams, collocations, alignment (§5.4, §6)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +11,6 @@ from repro.nlp.collocations import (
     top_collocations,
 )
 from repro.nlp.ngram import NGramModel, perplexity_by_order
-from repro.core.sequences import SessionSequenceRecord
 
 
 class TestNGramModel:

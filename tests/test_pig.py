@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core.builder import write_day_events
 from repro.core.event import ClientEvent
-from repro.hdfs.namenode import HDFS
 from repro.mapreduce.jobtracker import JobTracker
 from repro.pig.loaders import (
     ClientEventsLoader,

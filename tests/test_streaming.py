@@ -22,6 +22,7 @@ from repro.hdfs.layout import (
     staging_path,
 )
 from repro.hdfs.namenode import HDFS
+from repro.logmover.landing import INCOMING_ROOT
 from repro.logmover.streaming import StreamingMover
 from repro.obs import names as obs_names
 from repro.obs.metrics import MetricsRegistry, set_default_registry
@@ -373,19 +374,49 @@ class TestCrashConvergence:
         assert staging.glob_files(staging_path("dc", HOUR0)) == []
         assert mover.moves[0].messages_moved == 1
 
-    def test_crash_before_seal_rename_converges(self):
+    def _two_batches_due_to_seal(self):
         staging, warehouse = HDFS(), HDFS()
         clock = LogicalClock()
         clock.advance(MILLIS_PER_MINUTE)
         mover = _mover({"dc": staging}, warehouse, clock)
         _stage(staging, "dc", HOUR0, "p1", [encode_envelope("h1", 0, b"a")])
         mover.poll(CATEGORY)
+        clock.advance(BATCH_MS)
+        _stage(staging, "dc", HOUR0, "p2", [encode_envelope("h1", 1, b"b")])
+        mover.poll(CATEGORY)
+        assert _hour_files(warehouse, HOUR0) == ["batch-00000",
+                                                 "batch-00001"]
         clock.advance(MILLIS_PER_HOUR + DELAY_MS)
-        self._arm(f"logmover.{CATEGORY}.seal.pre_rename")
-        self._poll_through_crash(mover)
+        return mover, warehouse
+
+    def test_crash_before_seal_commit_keeps_the_batches(self):
+        mover, warehouse = self._two_batches_due_to_seal()
+        self._arm(f"logmover.{CATEGORY}.seal.pre_commit")
+        with pytest.raises(InjectedCrash):
+            mover.poll(CATEGORY, force=True)
+        # Before the delete: the published batches still serve the hour.
+        assert _hour_files(warehouse, HOUR0) == ["batch-00000",
+                                                 "batch-00001"]
+        mover.poll(CATEGORY, force=True)
         assert mover.sealed(HOUR0)
         assert _hour_files(warehouse, HOUR0) == ["part-00000"]
-        assert _hour_messages(warehouse, HOUR0) == [b"a"]
+        assert _hour_messages(warehouse, HOUR0) == [b"a", b"b"]
+
+    def test_crash_before_seal_rename_converges(self):
+        mover, warehouse = self._two_batches_due_to_seal()
+        self._arm(f"logmover.{CATEGORY}.seal.pre_rename")
+        with pytest.raises(InjectedCrash):
+            mover.poll(CATEGORY, force=True)
+        # Between the delete and the rename: the hour directory is gone
+        # and only the merged /_incoming copy holds the hour.
+        assert not warehouse.is_dir(HOUR0.path(root=LOGS_ROOT))
+        assert warehouse.is_dir(HOUR0.path(root=INCOMING_ROOT))
+        # The next poll finishes that commit instead of rebuilding.
+        mover.poll(CATEGORY, force=True)
+        assert mover.sealed(HOUR0)
+        assert not warehouse.is_dir(HOUR0.path(root=INCOMING_ROOT))
+        assert _hour_files(warehouse, HOUR0) == ["part-00000"]
+        assert _hour_messages(warehouse, HOUR0) == [b"a", b"b"]
 
 
 class TestOinkWiring:

@@ -5,9 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.thriftlike.protocol import (
     ByteCursor,
-    BinaryProtocolReader,
     BinaryProtocolWriter,
-    CompactProtocolReader,
     CompactProtocolWriter,
     reader_for,
     unzigzag,

@@ -10,7 +10,6 @@ from repro.core.names import EventName
 from repro.core.sessionizer import Sessionizer
 from repro.hdfs.layout import millis_for_hour, LogHour
 from repro.workload.behavior import (
-    END,
     FUNNEL_CONTINUE,
     build_browsing_behavior,
     build_signup_behavior,
