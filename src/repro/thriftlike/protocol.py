@@ -1,16 +1,16 @@
 """Wire protocols: binary (fixed-width) and compact (varint/zigzag).
 
-Both protocols share the same abstract reader/writer interface, so a struct
-serialized with either can be skipped field-by-field without knowing its
-schema -- the property that gives Thrift messages forward compatibility.
+Each protocol is a writer class and a :class:`Wire` of position-passing
+read functions. Every value carries a wire type, so a struct serialized
+with either can be skipped field-by-field without knowing its schema --
+the property that gives Thrift messages forward compatibility.
 """
 
 from __future__ import annotations
 
 import io
 import struct as _struct
-from operator import methodcaller
-from typing import Tuple
+from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 from repro.thriftlike.types import ProtocolError, TType
 
@@ -29,14 +29,38 @@ _MAP = _struct.Struct(">BBi")
 _BYTE = [bytes((value,)) for value in range(256)]
 
 
-class ByteCursor:
-    """A read position over a bytes object.
+_TRUNCATED_BYTE = "truncated read: wanted 1, got 0"
+_BAD_UTF8 = "invalid utf-8 in string field"
 
-    The one place in the codebase where bytes are taken off the front of
-    a buffer: the protocol readers below are cursors, and record frames,
-    column blocks, proto messages and Scribe envelopes are read through
-    one. Every read past the end raises :class:`ProtocolError`.
-    """
+
+def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """``(value, position after)`` of the base-128 varint at ``pos``."""
+    result = shift = 0
+    try:
+        while True:
+            byte = data[pos]
+            pos += 1
+            result |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return result, pos
+            shift += 7
+            if shift > 70:
+                raise ProtocolError("varint too long")
+    except IndexError:
+        raise ProtocolError(_TRUNCATED_BYTE) from None
+
+
+def _u8(data: bytes, pos: int) -> int:
+    try:
+        return data[pos]
+    except IndexError:
+        raise ProtocolError(_TRUNCATED_BYTE) from None
+
+
+class ByteCursor:
+    """A read position over a bytes object: the protocol readers below,
+    record frames, column blocks and Scribe envelopes are read through
+    one. Every read past the end raises :class:`ProtocolError`."""
 
     def __init__(self, data: bytes) -> None:
         self.data = data
@@ -44,53 +68,19 @@ class ByteCursor:
 
     def read_u8(self) -> int:
         """The unsigned byte at the cursor."""
-        pos = self.pos
-        try:
-            byte = self.data[pos]
-        except IndexError:
-            raise ProtocolError("truncated read: wanted 1, got 0") from None
-        self.pos = pos + 1
+        byte = _u8(self.data, self.pos)
+        self.pos += 1
         return byte
 
     def read_exact(self, n: int) -> bytes:
         """The next ``n`` bytes."""
-        pos = self.pos
-        chunk = self.data[pos:pos + n]
-        if len(chunk) != n:
-            raise ProtocolError(
-                f"truncated read: wanted {n}, got {len(chunk)}")
-        self.pos = pos + n
+        chunk, self.pos = _take(self.data, self.pos, n)
         return chunk
 
     def read_varint(self) -> int:
         """The unsigned base-128 varint at the cursor."""
-        data, pos = self.data, self.pos
-        result = shift = 0
-        try:
-            while True:
-                byte = data[pos]
-                pos += 1
-                result |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    self.pos = pos
-                    return result
-                shift += 7
-                if shift > 70:
-                    raise ProtocolError("varint too long")
-        except IndexError:
-            raise ProtocolError("truncated read: wanted 1, got 0") from None
-
-    def unpack(self, layout: _struct.Struct) -> tuple:
-        """Unpack one fixed-width ``layout`` at the cursor."""
-        pos = self.pos
-        try:
-            values = layout.unpack_from(self.data, pos)
-        except _struct.error:
-            raise ProtocolError(
-                f"truncated read: wanted {layout.size}, "
-                f"got {len(self.data) - pos}") from None
-        self.pos = pos + layout.size
-        return values
+        value, self.pos = read_varint(self.data, self.pos)
+        return value
 
 
 class ProtocolWriter:
@@ -160,16 +150,7 @@ class ProtocolWriter:
         raise NotImplementedError
 
 
-#: Scalar wire type -> ``read(reader)``; protocol-agnostic, because each
-#: only names the reader method to call.
-SCALAR_READERS = {
-    ttype: methodcaller(f"read_{ttype.name.lower()}")
-    for ttype in (TType.BOOL, TType.BYTE, TType.I16, TType.I32, TType.I64,
-                  TType.DOUBLE, TType.STRING)
-}
-
-
-#: Scalar wire type -> ``write(writer, value)``, the write-side twin.
+#: Scalar wire type -> ``write(writer, value)``.
 SCALAR_WRITERS = {
     TType.BOOL: lambda writer, value: writer.write_bool(value),
     TType.BYTE: lambda writer, value: writer.write_byte(value),
@@ -181,93 +162,147 @@ SCALAR_WRITERS = {
 }
 
 
-class ProtocolReader(ByteCursor):
-    """Abstract reader: a :class:`ByteCursor` that knows a wire protocol."""
+#: ``(data, pos) -> (value, position after it)``.
+Read = Callable[[bytes, int], Tuple[Any, int]]
 
-    # -- framing -----------------------------------------------------------
+
+class Wire(NamedTuple):
+    """One protocol's stateless reads, composed by struct decoders and
+    wrapped by :class:`ProtocolReader`: ``field(data, pos, previous fid)
+    -> (fid, wire type, pos)``, a ``Read`` per scalar type, list/set and
+    map headers, and ``skip(data, pos, wire type) -> pos``."""
+
+    name: str
+    field: Callable[[bytes, int, int], Tuple[int, TType, int]]
+    values: Dict[TType, Read]
+    binary: Read
+    collection: Callable[[bytes, int], Tuple[TType, int, int]]
+    map: Callable[[bytes, int], Tuple[TType, TType, int, int]]
+    skip: Callable[[bytes, int, TType], int]
+
+
+def _wire(name, field, values, binary, collection, map_begin) -> Wire:
+    def skip(data: bytes, pos: int, ttype: TType) -> int:
+        if ttype is TType.STRING:  # any bytes: a skipped string is not decoded
+            return binary(data, pos)[1]
+        if ttype in values:
+            return values[ttype](data, pos)[1]
+        if ttype is TType.STRUCT:
+            fid = 0
+            while True:
+                fid, ftype, pos = field(data, pos, fid)
+                if ftype is TType.STOP:
+                    return pos
+                pos = skip(data, pos, ftype)
+        if ttype in (TType.LIST, TType.SET):
+            etype, size, pos = collection(data, pos)
+            for __ in range(size):
+                pos = skip(data, pos, etype)
+            return pos
+        if ttype is TType.MAP:
+            ktype, vtype, size, pos = map_begin(data, pos)
+            for __ in range(size):
+                pos = skip(data, skip(data, pos, ktype), vtype)
+            return pos
+        raise ProtocolError(f"cannot skip type {ttype}")
+    return Wire(name, field, values, binary, collection, map_begin, skip)
+
+
+_TTYPES = {int(ttype): ttype for ttype in TType}
+
+
+def _to_ttype(raw: int) -> TType:
+    try:
+        return _TTYPES[raw]
+    except KeyError:
+        raise ProtocolError(f"unknown wire type {raw}") from None
+
+
+def _take(data: bytes, pos: int, n: int) -> Tuple[bytes, int]:
+    chunk = data[pos:pos + n]
+    if len(chunk) != n:
+        raise ProtocolError(f"truncated read: wanted {n}, got {len(chunk)}")
+    return chunk, pos + n
+
+
+def _unpack(layout: _struct.Struct, data: bytes, pos: int) -> tuple:
+    try:
+        return layout.unpack_from(data, pos), pos + layout.size
+    except _struct.error:
+        raise ProtocolError(f"truncated read: wanted {layout.size}, "
+                            f"got {len(data) - pos}") from None
+
+
+def _fixed(layout: _struct.Struct) -> Read:
+    def read(data: bytes, pos: int) -> Tuple[Any, int]:
+        (value,), pos = _unpack(layout, data, pos)
+        return value, pos
+    return read
+
+
+def _read_bool(data: bytes, pos: int) -> Tuple[bool, int]:
+    return _u8(data, pos) != 0, pos + 1
+
+
+def _text(binary: Read) -> Read:
+    def read(data: bytes, pos: int) -> Tuple[str, int]:
+        chunk, pos = binary(data, pos)
+        try:
+            return str(chunk, "utf-8"), pos
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(_BAD_UTF8) from exc
+    return read
+
+
+def _value_method(ttype: TType, doc: str) -> Callable[[Any], Any]:
+    def read(self: "ProtocolReader") -> Any:
+        value, self.pos = self.wire.values[ttype](self.data, self.pos)
+        return value
+    read.__doc__ = doc
+    return read
+
+
+class ProtocolReader(ByteCursor):
+    """A :class:`ByteCursor` that knows a wire protocol: each method runs
+    one of the protocol's :class:`Wire` functions at the cursor."""
+
+    wire: Wire
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(data)
+        self._last_fid = [0]  # per open struct: compact's field-id base
+
     def read_struct_begin(self) -> None:
-        """Consume the start of a struct, if any framing exists."""
-        pass
+        """Consume the start of a struct."""
+        self._last_fid.append(0)
 
     def read_struct_end(self) -> None:
-        """Consume the end of a struct, if any framing exists."""
-        pass
+        """Consume the end of a struct."""
+        self._last_fid.pop()
 
     def read_field(self) -> Tuple[int, TType]:
         """Return ``(fid, ttype)``; ttype == STOP signals end of struct."""
-        raise NotImplementedError
+        fid, ttype, self.pos = self.wire.field(
+            self.data, self.pos, self._last_fid[-1])
+        self._last_fid[-1] = fid
+        return fid, ttype
 
-    # -- primitives (bool, byte and double as the writer wrote them; a
-    # string is the protocol's binary, decoded) ----------------------------
-    def read_bool(self) -> bool:
-        """Read a boolean value."""
-        return self.read_u8() != 0
-
-    def read_byte(self) -> int:
-        """Read a signed 8-bit integer."""
-        return self.unpack(_I8)[0]
-
-    def read_i16(self) -> int:
-        """Read a signed 16-bit integer."""
-        raise NotImplementedError
-
-    def read_i32(self) -> int:
-        """Read a signed 32-bit integer."""
-        raise NotImplementedError
-
-    def read_i64(self) -> int:
-        """Read a signed 64-bit integer."""
-        raise NotImplementedError
-
-    def read_double(self) -> float:
-        """Read a 64-bit IEEE-754 float."""
-        return self.unpack(_DOUBLE)[0]
-
-    def read_string(self) -> str:
-        """Read a length-prefixed UTF-8 string."""
-        try:
-            return str(self.read_binary(), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError("invalid utf-8 in string field") from exc
+    read_bool = _value_method(TType.BOOL, "Read a boolean value.")
+    read_byte = _value_method(TType.BYTE, "Read a signed 8-bit integer.")
+    read_i16 = _value_method(TType.I16, "Read a signed 16-bit integer.")
+    read_i32 = _value_method(TType.I32, "Read a signed 32-bit integer.")
+    read_i64 = _value_method(TType.I64, "Read a signed 64-bit integer.")
+    read_double = _value_method(TType.DOUBLE, "Read a 64-bit IEEE-754 float.")
+    read_string = _value_method(TType.STRING, "Read a UTF-8 string.")
 
     def read_binary(self) -> bytes:
         """Read a length-prefixed byte string."""
-        raise NotImplementedError
+        value, self.pos = self.wire.binary(self.data, self.pos)
+        return value
 
-    def read_collection_begin(self) -> Tuple[TType, int]:
-        """Read a list/set header; returns (element type, size)."""
-        raise NotImplementedError
-
-    def read_map_begin(self) -> Tuple[TType, TType, int]:
-        """Read a map header; returns (key type, value type, size)."""
-        raise NotImplementedError
-
-    # -- schema-free skipping ----------------------------------------------
     def skip(self, ttype: TType) -> None:
         """Consume and discard a value of type ``ttype``."""
-        if ttype is TType.STRING:
-            self.read_binary()  # any bytes: a skipped string is not decoded
-        elif ttype in SCALAR_READERS:
-            SCALAR_READERS[ttype](self)
-        elif ttype is TType.STRUCT:
-            self.read_struct_begin()
-            while True:
-                __, ftype = self.read_field()
-                if ftype is TType.STOP:
-                    break
-                self.skip(ftype)
-            self.read_struct_end()
-        elif ttype in (TType.LIST, TType.SET):
-            etype, size = self.read_collection_begin()
-            for __ in range(size):
-                self.skip(etype)
-        elif ttype is TType.MAP:
-            ktype, vtype, size = self.read_map_begin()
-            for __ in range(size):
-                self.skip(ktype)
-                self.skip(vtype)
-        else:
-            raise ProtocolError(f"cannot skip type {ttype}")
+        self.pos = self.wire.skip(self.data, self.pos, ttype)
 
 
 # ---------------------------------------------------------------------------
@@ -304,41 +339,45 @@ class BinaryProtocolWriter(ProtocolWriter):
         self._write(_MAP.pack(ktype, vtype, size))
 
 
+_binary_i16, _binary_i32 = _fixed(_I16), _fixed(_I32)
+
+
+def _binary_field(data: bytes, pos: int, last: int) -> tuple:
+    ttype = _to_ttype(_u8(data, pos))
+    if ttype is TType.STOP:
+        return 0, ttype, pos + 1
+    fid, pos = _binary_i16(data, pos + 1)
+    return fid, ttype, pos
+
+
+def _binary_binary(data: bytes, pos: int) -> Tuple[bytes, int]:
+    n, pos = _binary_i32(data, pos)
+    if n < 0:
+        raise ProtocolError(f"negative string length {n}")
+    return _take(data, pos, n)
+
+
+def _binary_header(layout: _struct.Struct, kind: str) -> Callable:
+    def read(data: bytes, pos: int) -> tuple:
+        (*ttypes, size), pos = _unpack(layout, data, pos)
+        if size < 0:
+            raise ProtocolError(f"negative {kind} size {size}")
+        return (*map(_to_ttype, ttypes), size, pos)
+    return read
+
+
+BINARY = _wire("binary", _binary_field, {
+    TType.BOOL: _read_bool, TType.BYTE: _fixed(_I8), TType.I16: _binary_i16,
+    TType.I32: _binary_i32, TType.I64: _fixed(_I64),
+    TType.DOUBLE: _fixed(_DOUBLE), TType.STRING: _text(_binary_binary),
+}, _binary_binary, _binary_header(_COLLECTION, "collection"),
+    _binary_header(_MAP, "map"))
+
+
 class BinaryProtocolReader(ProtocolReader):
     """Reader matching :class:`BinaryProtocolWriter`."""
 
-    def read_field(self) -> Tuple[int, TType]:
-        ttype = _to_ttype(self.read_u8())
-        if ttype is TType.STOP:
-            return 0, ttype
-        return self.unpack(_I16)[0], ttype
-
-    def read_i16(self) -> int:
-        return self.unpack(_I16)[0]
-
-    def read_i32(self) -> int:
-        return self.unpack(_I32)[0]
-
-    def read_i64(self) -> int:
-        return self.unpack(_I64)[0]
-
-    def read_binary(self) -> bytes:
-        (n,) = self.unpack(_I32)
-        if n < 0:
-            raise ProtocolError(f"negative string length {n}")
-        return self.read_exact(n)
-
-    def read_collection_begin(self) -> Tuple[TType, int]:
-        etype, size = self.unpack(_COLLECTION)
-        if size < 0:
-            raise ProtocolError(f"negative collection size {size}")
-        return _to_ttype(etype), size
-
-    def read_map_begin(self) -> Tuple[TType, TType, int]:
-        ktype, vtype, size = self.unpack(_MAP)
-        if size < 0:
-            raise ProtocolError(f"negative map size {size}")
-        return _to_ttype(ktype), _to_ttype(vtype), size
+    wire = BINARY
 
 
 # ---------------------------------------------------------------------------
@@ -425,70 +464,68 @@ class CompactProtocolWriter(ProtocolWriter):
         write_varint(self._buf, size)
 
 
+def _compact_field(data: bytes, pos: int, last: int) -> tuple:
+    try:
+        header = data[pos]
+    except IndexError:
+        raise ProtocolError(_TRUNCATED_BYTE) from None
+    ttype = _to_ttype(header & 0x0F)
+    if ttype is TType.STOP:  # whatever the delta nibble says
+        return 0, ttype, pos + 1
+    if header >> 4:
+        return last + (header >> 4), ttype, pos + 1
+    fid, pos = _compact_int(data, pos + 1)  # long form
+    return fid, ttype, pos
+
+
+def _compact_int(data: bytes, pos: int) -> Tuple[int, int]:
+    value, pos = read_varint(data, pos)
+    return (value >> 1) ^ -(value & 1), pos
+
+
+def _compact_binary(data: bytes, pos: int) -> Tuple[bytes, int]:
+    n, pos = read_varint(data, pos)
+    return _take(data, pos, n)
+
+
+def _compact_string(data: bytes, pos: int) -> Tuple[str, int]:
+    # ``_text(_compact_binary)`` in one call: strings are most of an event.
+    if pos < len(data) and (n := data[pos]) < 0x80:
+        pos += 1
+    else:
+        n, pos = read_varint(data, pos)
+    chunk = data[pos:pos + n]
+    if len(chunk) != n:
+        raise ProtocolError(f"truncated read: wanted {n}, got {len(chunk)}")
+    try:
+        return str(chunk, "utf-8"), pos + n
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(_BAD_UTF8) from exc
+
+
+def _compact_collection(data: bytes, pos: int) -> Tuple[TType, int, int]:
+    etype = _to_ttype(_u8(data, pos))
+    size, pos = read_varint(data, pos + 1)
+    return etype, size, pos
+
+
+def _compact_map(data: bytes, pos: int) -> Tuple[TType, TType, int, int]:
+    ktype, vtype = _u8(data, pos), _u8(data, pos + 1)
+    size, pos = read_varint(data, pos + 2)
+    return _to_ttype(ktype), _to_ttype(vtype), size, pos
+
+
+COMPACT = _wire("compact", _compact_field, {
+    TType.BOOL: _read_bool, TType.BYTE: _fixed(_I8), TType.I16: _compact_int,
+    TType.I32: _compact_int, TType.I64: _compact_int,
+    TType.DOUBLE: _fixed(_DOUBLE), TType.STRING: _compact_string,
+}, _compact_binary, _compact_collection, _compact_map)
+
+
 class CompactProtocolReader(ProtocolReader):
     """Reader matching :class:`CompactProtocolWriter`."""
 
-    def __init__(self, data: bytes) -> None:
-        super().__init__(data)
-        self._last_fid = [0]
-
-    def read_struct_begin(self) -> None:
-        self._last_fid.append(0)
-
-    def read_struct_end(self) -> None:
-        self._last_fid.pop()
-
-    def read_field(self) -> Tuple[int, TType]:
-        header = self.read_u8()
-        if header == 0:
-            return 0, TType.STOP
-        ttype = _to_ttype(header & 0x0F)
-        delta = header >> 4
-        if delta:
-            fid = self._last_fid[-1] + delta
-        else:
-            fid = self.read_i64()
-        self._last_fid[-1] = fid
-        return fid, ttype
-
-    def read_i64(self) -> int:
-        return unzigzag(self.read_varint())
-
-    read_i16 = read_i32 = read_i64
-
-    def read_binary(self) -> bytes:
-        # ``read_exact(read_varint())`` with both calls folded in for the
-        # common one-byte length: strings are most of what a log event is.
-        data, pos = self.data, self.pos
-        if pos < len(data) and (n := data[pos]) < 0x80:
-            pos += 1
-        else:
-            n, pos = self.read_varint(), self.pos
-        chunk = data[pos:pos + n]
-        if len(chunk) != n:
-            raise ProtocolError(
-                f"truncated read: wanted {n}, got {len(chunk)}")
-        self.pos = pos + n
-        return chunk
-
-    def read_collection_begin(self) -> Tuple[TType, int]:
-        ttype = _to_ttype(self.read_u8())
-        return ttype, self.read_varint()
-
-    def read_map_begin(self) -> Tuple[TType, TType, int]:
-        ktype, vtype = self.read_u8(), self.read_u8()
-        size = self.read_varint()
-        return _to_ttype(ktype), _to_ttype(vtype), size
-
-
-_TTYPES = {int(ttype): ttype for ttype in TType}
-
-
-def _to_ttype(raw: int) -> TType:
-    try:
-        return _TTYPES[raw]
-    except KeyError:
-        raise ProtocolError(f"unknown wire type {raw}") from None
+    wire = COMPACT
 
 
 PROTOCOLS = {
@@ -511,3 +548,8 @@ def reader_for(protocol: str, data: bytes) -> ProtocolReader:
         return PROTOCOLS[protocol][1](data)
     except KeyError as exc:
         raise ProtocolError(f"unknown protocol {protocol!r}") from exc
+
+
+def wire_for(protocol: str) -> Wire:
+    """A protocol's :class:`Wire` by name (``binary`` or ``compact``)."""
+    return reader_for(protocol, b"").wire

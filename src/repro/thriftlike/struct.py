@@ -13,14 +13,16 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, NamedTuple, Tuple, Type, TypeVar
 
 from repro.thriftlike.protocol import (
-    SCALAR_READERS,
     SCALAR_WRITERS,
     ProtocolReader,
     ProtocolWriter,
-    reader_for,
+    Read,
+    Wire,
+    wire_for,
     writer_for,
 )
 from repro.thriftlike.types import (
+    INT_TYPES,
     FieldSpec,
     TType,
     ValidationError,
@@ -29,21 +31,16 @@ from repro.thriftlike.types import (
 
 T = TypeVar("T", bound="ThriftStruct")
 
-ValueReader = Callable[[ProtocolReader], Any]
 ValueWriter = Callable[[ProtocolWriter, Any], None]
 
 
 class _Plan(NamedTuple):
-    """What ``read``, ``validate`` and ``write`` need, resolved once per
-    class: ``fid -> (name, wire type, value reader)``, and in declaration
-    order the ``(name, default, default is a factory)``, ``(name,
-    required, checker)`` and ``(name, fid, wire type, value writer)``
-    tuples."""
+    """What ``validate``, ``write`` and ``read`` need, resolved once per
+    class: checks and writes in declaration order, a decoder per protocol."""
 
-    fields: Dict[int, Tuple[str, TType, ValueReader]]
-    defaults: Tuple[Tuple[str, Any, bool], ...]
     checks: Tuple[Tuple[str, bool, Callable[[Any], None]], ...]
     writes: Tuple[Tuple[str, int, TType, ValueWriter], ...]
+    decoders: Dict[str, Read]
 
 
 class ThriftStruct:
@@ -96,27 +93,24 @@ class ThriftStruct:
         if plan is None:
             specs = cls.field_map().values()
             plan = cls._compiled_plan = _Plan(
-                fields={spec.fid: (spec.name, spec.ttype,
-                                   _compile_reader(spec)) for spec in specs},
-                defaults=tuple((spec.name, spec.default,
-                                callable(spec.default)) for spec in specs),
                 checks=tuple((spec.name, spec.required,
                               compile_checker(spec)) for spec in specs),
                 writes=tuple((spec.name, spec.fid, spec.ttype,
-                              _compile_writer(spec)) for spec in specs))
+                              _compile_writer(spec)) for spec in specs),
+                decoders={})
         return plan
+
+    @classmethod
+    def _decoder(cls, protocol: str) -> Read:
+        """This class's compiled decoder for the named protocol."""
+        decoders = cls._plan().decoders
+        if protocol not in decoders:
+            decoders[protocol] = _compile_decoder(cls, wire_for(protocol))
+        return decoders[protocol]
 
     def validate(self) -> None:
         """Check required fields are set and values match declared types."""
-        for name, required, check in self._plan().checks:
-            value = getattr(self, name)
-            if value is None:
-                if required:
-                    raise ValidationError(
-                        f"{type(self).__name__}.{name} is required"
-                    )
-            else:
-                check(value)
+        _check(self, self._plan().checks)
 
     # -- serialization ---------------------------------------------------
     def write(self, writer: ProtocolWriter) -> None:
@@ -140,34 +134,15 @@ class ThriftStruct:
 
     @classmethod
     def read(cls: Type[T], reader: ProtocolReader) -> T:
-        """Read a struct from a protocol reader, skipping unknown fields."""
-        plan = cls._plan()
-        obj = cls.__new__(cls)
-        # What ``cls()`` would set, without ``__init__``'s keyword checks.
-        # ``setattr`` rather than filling ``__dict__``: it keeps instances
-        # on the interpreter's shared-key, no-dict-object layout.
-        for name, default, is_factory in plan.defaults:
-            setattr(obj, name, default() if is_factory else default)
-        fields = plan.fields
-        reader.read_struct_begin()
-        while True:
-            fid, ttype = reader.read_field()
-            if ttype is TType.STOP:
-                break
-            field = fields.get(fid)
-            if field is None or field[1] is not ttype:
-                # Unknown or retyped field: skip for forward compatibility.
-                reader.skip(ttype)
-            else:
-                setattr(obj, field[0], field[2](reader))
-        reader.read_struct_end()
-        obj.validate()
+        """Read a struct at the reader's position, skipping unknown fields."""
+        obj, reader.pos = cls._decoder(reader.wire.name)(reader.data,
+                                                         reader.pos)
         return obj
 
     @classmethod
     def from_bytes(cls: Type[T], data: bytes, protocol: str = "compact") -> T:
         """Deserialize with the named protocol (default compact)."""
-        return cls.read(reader_for(protocol, data))
+        return cls._decoder(protocol)(data, 0)[0]
 
     # -- conveniences ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -228,52 +203,115 @@ def _to_plain(value: Any) -> Any:
     return value
 
 
-def _compile_reader(spec: FieldSpec) -> ValueReader:
-    """Compose ``read(reader) -> value`` for one declared field.
+def _compile_decoder(cls: Type[T], wire: Wire) -> Read:
+    """Compose ``decode(data, pos) -> (instance, pos)`` for one class and
+    one protocol. After the read it checks only what decoding cannot
+    guarantee, required fields and integer ranges: every other part of
+    :meth:`ThriftStruct.validate` holds by construction."""
+    specs = cls.FIELDS
+    read_field, skip, stop = wire.field, wire.skip, TType.STOP
+    fields = {(spec.fid, spec.ttype): (spec.name, _compile_read(spec, wire))
+              for spec in specs}
+    defaults = tuple((spec.name, spec.default, callable(spec.default))
+                     for spec in specs)
+    checks = tuple((spec.name, spec.required,
+                    compile_checker(spec) if _holds_int(spec) else None)
+                   for spec in specs if spec.required or _holds_int(spec))
+    new = cls.__new__
 
-    The type dispatch happens here, once per class; the result only calls
-    reader *methods*, so binary and compact share it. Containers keep the
-    evolution rule: when the element type on the wire is not the declared
-    one, each element is skipped and the container comes back empty.
-    """
-    ttype = spec.ttype
-    if ttype in SCALAR_READERS:
-        return SCALAR_READERS[ttype]
+    def decode(data: bytes, pos: int) -> Tuple[T, int]:
+        obj = new(cls)
+        # What ``cls()`` would set, without ``__init__``'s keyword checks.
+        # ``setattr`` rather than filling ``__dict__``: it keeps instances
+        # on the interpreter's shared-key, no-dict-object layout.
+        for name, default, is_factory in defaults:
+            setattr(obj, name, default() if is_factory else default)
+        fid = 0
+        while True:
+            fid, ttype, pos = read_field(data, pos, fid)
+            if ttype is stop:
+                break
+            field = fields.get((fid, ttype))
+            if field is None:
+                # Unknown or retyped field: skip for forward compatibility.
+                pos = skip(data, pos, ttype)
+            else:
+                value, pos = field[1](data, pos)
+                setattr(obj, field[0], value)
+        _check(obj, checks)
+        return obj, pos
+    return decode
+
+
+def _check(obj: ThriftStruct, checks: tuple) -> None:
+    """Run ``(name, required, checker or None)`` checks in order."""
+    for name, required, check in checks:
+        value = getattr(obj, name)
+        if value is None:
+            if required:
+                raise ValidationError(f"{type(obj).__name__}.{name} is required")
+        elif check is not None:
+            check(value)
+
+
+def _holds_int(spec: FieldSpec) -> bool:
+    """Whether ``spec``'s value may hold ints outside a nested struct."""
+    return spec.ttype in INT_TYPES or any(
+        _holds_int(child) for child in (spec.key, spec.value) if child)
+
+
+def _compile_read(spec: FieldSpec, wire: Wire) -> Read:
+    """Compose one declared field's ``Read``. A container whose element
+    types on the wire are not the declared ones skips each element and
+    comes back empty."""
+    ttype, skip = spec.ttype, wire.skip
+    if ttype in wire.values:
+        return wire.values[ttype]
     if ttype is TType.STRUCT:
-        return spec.struct_cls.read
-    read_item = _compile_reader(spec.value)
-    if ttype is TType.MAP:
-        read_key = _compile_reader(spec.key)
-        key_type, item_type = spec.key.ttype, spec.value.ttype
+        struct_cls, protocol = spec.struct_cls, wire.name
 
-        def read_map(reader: ProtocolReader) -> dict:
-            ktype, vtype, size = reader.read_map_begin()
+        def read_struct(data: bytes, pos: int) -> Tuple[Any, int]:
+            # Resolved per call, so a struct may contain itself.
+            return struct_cls._decoder(protocol)(data, pos)
+        return read_struct
+    read_item, item_type = _compile_read(spec.value, wire), spec.value.ttype
+    if ttype is TType.MAP:
+        read_key, key_type = _compile_read(spec.key, wire), spec.key.ttype
+        map_begin = wire.map
+
+        def read_map(data: bytes, pos: int) -> Tuple[dict, int]:
+            ktype, vtype, size, pos = map_begin(data, pos)
+            out: dict = {}
             if ktype is key_type and vtype is item_type:
-                return {read_key(reader): read_item(reader)
-                        for __ in range(size)}
-            for __ in range(size):
-                reader.skip(ktype)
-                reader.skip(vtype)
-            return {}
+                for __ in range(size):
+                    key, pos = read_key(data, pos)
+                    out[key], pos = read_item(data, pos)
+            else:
+                for __ in range(size):
+                    pos = skip(data, skip(data, pos, ktype), vtype)
+            return out, pos
         return read_map
 
-    item_type, as_set = spec.value.ttype, ttype is TType.SET
+    collection, as_set = wire.collection, ttype is TType.SET
 
-    def read_collection(reader: ProtocolReader) -> Any:
-        etype, size = reader.read_collection_begin()
+    def read_collection(data: bytes, pos: int) -> Tuple[Any, int]:
+        etype, size, pos = collection(data, pos)
+        items = []
         if etype is item_type:
-            items = [read_item(reader) for __ in range(size)]
-        else:
-            items = []
             for __ in range(size):
-                reader.skip(etype)
-        return set(items) if as_set else items
+                item, pos = read_item(data, pos)
+                items.append(item)
+        else:
+            for __ in range(size):
+                pos = skip(data, pos, etype)
+        return (set(items) if as_set else items), pos
     return read_collection
 
 
 def _compile_writer(spec: FieldSpec) -> ValueWriter:
     """Compose ``write(writer, value)`` for one declared field: the twin
-    of :func:`_compile_reader`, protocol-agnostic for the same reason.
+    of :func:`_compile_read`, protocol-agnostic because it only calls
+    writer methods.
 
     A SET's members and a MAP's keys go out in ``repr`` order, so the
     bytes do not depend on insertion order or on the hash seed.

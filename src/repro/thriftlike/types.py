@@ -30,7 +30,7 @@ class TType(enum.IntEnum):
     LIST = 15
 
 
-_INT_TYPES = frozenset({TType.BYTE, TType.I16, TType.I32, TType.I64})
+INT_TYPES = frozenset({TType.BYTE, TType.I16, TType.I32, TType.I64})
 
 _INT_BOUNDS = {
     TType.BYTE: (-(2 ** 7), 2 ** 7 - 1),
@@ -108,7 +108,7 @@ def check_value(spec: FieldSpec, value: Any) -> None:
     if ttype is TType.BOOL:
         if not isinstance(value, bool):
             raise ValidationError(f"{spec.name}: expected bool, got {type(value).__name__}")
-    elif ttype in _INT_TYPES:
+    elif ttype in INT_TYPES:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"{spec.name}: expected int, got {type(value).__name__}")
         lo, hi = _INT_BOUNDS[ttype]
@@ -164,7 +164,7 @@ def compile_checker(spec: FieldSpec) -> Callable[[Any], None]:
     the error messages.
     """
     ttype = spec.ttype
-    if ttype in _INT_TYPES:
+    if ttype in INT_TYPES:
         lo, hi = _INT_BOUNDS[ttype]
 
         def check(value: Any) -> None:
