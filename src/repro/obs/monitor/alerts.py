@@ -80,6 +80,10 @@ class AlertRule:
         """The firing message while the condition holds, else None."""
         raise NotImplementedError
 
+    def attach(self, store: TimeSeriesStore) -> None:
+        """Take any baseline from the monitor's sample at attach time,
+        before any traffic. Stateless rules need none."""
+
 
 class ThresholdRule(AlertRule):
     """Fires while a gauge/counter total sits past a level.
@@ -112,8 +116,10 @@ class ThresholdRule(AlertRule):
 class DeltaRule(AlertRule):
     """Fires when an event counter increases; clears after quiet ticks.
 
-    The first evaluation only establishes the baseline -- increments
-    that happened before monitoring started are history, not events.
+    The baseline is the counter as the monitor found it when it attached
+    -- increments from before monitoring started are history, not events,
+    but one between the attach and the first tick is an event. A rule
+    never attached takes its first evaluation as the baseline.
     """
 
     def __init__(self, name: str, metric: str, clear_after: int = 3) -> None:
@@ -123,6 +129,9 @@ class DeltaRule(AlertRule):
         self._last: Optional[float] = None
         self._quiet = 0
         self._since_fire = 0.0
+
+    def attach(self, store: TimeSeriesStore) -> None:
+        self._last = store.latest_total(self.metric)
 
     def evaluate(self, ctx: MonitorContext) -> Optional[str]:
         value = ctx.store.latest_total(self.metric)

@@ -81,6 +81,10 @@ EVIDENCE = {"hourly": _hourly_evidence, "streaming": _streaming_evidence,
 #: Each scenario's seed-1, two-hour summary as the three soaks printed it
 #: before they became Scenario values run by one driver. Identical seeds
 #: must give identical storms; re-capture only with a stated reason.
+#: Re-captured once: streaming ``alerts_fired`` 6 -> 7 (and resolved), when
+#: the monitor began sampling at attach -- the two micro-batch crashes of
+#: the first poll, before the first tick, are now a ``mover_crash``
+#: episode of their own. The faults injected did not change.
 PINNED_SUMMARIES = {
     "hourly": (
         "chaos soak: seed=1 hours=2 PASS\n"
@@ -95,7 +99,7 @@ PINNED_SUMMARIES = {
         "  batches_landed=25 hours_sealed=2 late_reopens=1\n"
         "  sessions_closed=51 sessions_reopened=3 rollup_days=1 "
         "rollup_corrections=1\n"
-        "  alerts_fired=6 alerts_resolved=6 alerts_unresolved=0 "
+        "  alerts_fired=7 alerts_resolved=7 alerts_unresolved=0 "
         "hours_complete=2/2"),
     "partition": (
         "chaos soak (partition): seed=1 hours=2 PASS\n"
@@ -168,6 +172,16 @@ class TestStreamingChaos:
         assert report.late_reopens == 0
         assert report.alerts_fired == 0
         assert report.hours_sealed >= report.hours
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_hour_soak_alerts_on_first_poll_crashes(self, seed):
+        # Both micro-batch crashes fire in the first poll, before the
+        # monitor's first tick; the alert audit must still see them.
+        report = run_chaos(seed, hours=1, scenario=STREAMING)
+        assert report.ok, report.summary()
+        assert report.accepted == report.landed > 0
+        assert report.monitor.engine.fired("mover_crash") >= 1
+        assert report.alerts_unresolved == 0
 
     def test_streaming_summary_mentions_mode(self):
         report = run_chaos(1, hours=1, scenario=STREAMING)

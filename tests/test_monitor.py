@@ -420,6 +420,22 @@ class TestPipelineMonitor:
         assert len(monitor.engine.active()) == 1
         assert fresh_registry.total(names.MONITOR_SAMPLES) == 1
 
+    def test_delta_rule_sees_increments_before_the_first_tick(
+            self, fresh_registry):
+        # What was counted before the monitor attached is history; what is
+        # counted between the attach and the first tick is an event, also
+        # on a counter that did not exist yet when the monitor attached.
+        fresh_registry.counter("crashes_total").inc(5)
+        monitor = PipelineMonitor(rules=[
+            DeltaRule("crash", "crashes_total"),
+            DeltaRule("failover", "failovers_total")])
+        fresh_registry.counter("crashes_total").inc(2)
+        fresh_registry.counter("failovers_total").inc()
+        monitor.tick(2 * MINUTE)
+        assert [(a.rule, a.message) for a in monitor.engine.history()] == [
+            ("crash", "crashes_total +2"),
+            ("failover", "failovers_total +1")]
+
     def test_standard_rules_cover_failure_modes(self):
         assert sorted(rule.name for rule in standard_rules()) == [
             "aggregator_failover", "completeness", "delivery_backlog",
