@@ -300,10 +300,8 @@ class StreamingMover(LandingCore):
         warehouse hiccup after the final directory's delete, before the
         merged one's rename) is repaired by finishing that rename.
         """
-        state = self._states[hour]
         final_dir = hour.path(root=LOGS_ROOT)
         incoming_dir = hour.path(root=INCOMING_ROOT)
-        registry = get_default_registry()
         if not self._warehouse.is_dir(final_dir) and \
                 self._warehouse.is_dir(incoming_dir):
             # Recovery: the merged directory holds the hour's full content.
@@ -313,15 +311,28 @@ class StreamingMover(LandingCore):
             for path in sorted(data_files(self._warehouse, final_dir)):
                 messages.extend(
                     decode_messages(self._warehouse.open_bytes(path)))
-            file_counts = self.publish_hour(
+            self.publish_hour(
                 hour, messages,
                 pre_delete=f"logmover.{hour.category}.seal.pre_commit",
                 pre_rename=f"logmover.{hour.category}.seal.pre_rename")
-            state.result.output_files = len(file_counts)
-            state.result.moved_at_ms = self._clock.now()
-            registry.counter(obs_names.MOVER_FILES_WRITTEN,
-                             category=hour.category).inc(len(file_counts))
-            self.build_segment(hour, messages, file_counts)
+        self._after_seal_commit(hour)
+
+    def _after_seal_commit(self, hour: LogHour) -> None:
+        """Everything that follows a seal's rename: the hour's result, the
+        counters and the columnar segment. It reads the *published* hour,
+        so a seal whose rename was finished after a crash gets the same as
+        one that ran straight through."""
+        files = [list(decode_messages(self._warehouse.open_bytes(path)))
+                 for path in sorted(data_files(self._warehouse,
+                                               hour.path(root=LOGS_ROOT)))]
+        state = self._states[hour]
+        state.result.output_files = len(files)
+        state.result.moved_at_ms = self._clock.now()
+        registry = get_default_registry()
+        registry.counter(obs_names.MOVER_FILES_WRITTEN,
+                         category=hour.category).inc(len(files))
+        self.build_segment(hour, [m for part in files for m in part],
+                           [len(part) for part in files])
         state.sealed = True
         registry.counter(obs_names.STREAMING_HOURS_SEALED,
                          category=hour.category).inc()

@@ -7,6 +7,7 @@ from repro.clock import (
     MILLIS_PER_HOUR,
     MILLIS_PER_MINUTE,
 )
+from repro.core.event import ClientEvent
 from repro.faults.injector import (
     KIND_CRASH,
     KIND_UNAVAILABLE,
@@ -25,9 +26,14 @@ from repro.hdfs.namenode import HDFS
 from repro.logmover.landing import INCOMING_ROOT
 from repro.logmover.streaming import StreamingMover
 from repro.obs import names as obs_names
-from repro.obs.metrics import MetricsRegistry, set_default_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    get_default_registry,
+    set_default_registry,
+)
 from repro.scribe.aggregator import decode_messages, encode_messages
 from repro.scribe.message import encode_envelope
+from repro.warehouse.segment import STATUS_FRESH, segment_status
 
 CATEGORY = "client_events"
 HOUR0 = hour_for_millis(CATEGORY, 0)
@@ -417,6 +423,39 @@ class TestCrashConvergence:
         assert not warehouse.is_dir(HOUR0.path(root=INCOMING_ROOT))
         assert _hour_files(warehouse, HOUR0) == ["part-00000"]
         assert _hour_messages(warehouse, HOUR0) == [b"a", b"b"]
+
+    @pytest.mark.parametrize("site", [None, "seal.pre_commit",
+                                      "seal.pre_rename"])
+    def test_crashed_seal_ends_like_an_uninterrupted_one(self, site):
+        # A columnar category: the seal's post-commit steps (the hour's
+        # result, the files-written count, the segment) must also run
+        # when a later poll finishes the commit a crash interrupted.
+        staging, warehouse = HDFS(), HDFS()
+        clock = LogicalClock()
+        clock.advance(MILLIS_PER_MINUTE)
+        mover = _mover({"dc": staging}, warehouse, clock,
+                       columnar_categories=[CATEGORY])
+        for seq in range(2):
+            event = ClientEvent.make(
+                "web:home:timeline:stream:tweet:click", user_id=7,
+                session_id="s", ip="10.0.0.1", timestamp=1000 * seq)
+            _stage(staging, "dc", HOUR0, f"p{seq}",
+                   [encode_envelope("h1", seq, event.to_bytes())])
+            mover.poll(CATEGORY)
+            clock.advance(BATCH_MS)
+        clock.advance(MILLIS_PER_HOUR + DELAY_MS)
+        if site is not None:
+            self._arm(f"logmover.{CATEGORY}.{site}")
+            with pytest.raises(InjectedCrash):
+                mover.poll(CATEGORY, force=True)
+        mover.poll(CATEGORY, force=True)
+        assert mover.sealed(HOUR0)
+        assert mover.moves[0].output_files == 1
+        assert mover.moves[0].moved_at_ms == clock.now()
+        assert segment_status(warehouse, HOUR0.path(root=LOGS_ROOT)) == \
+            STATUS_FRESH
+        assert get_default_registry().total(
+            obs_names.MOVER_FILES_WRITTEN) == 1
 
 
 class TestOinkWiring:
