@@ -1,8 +1,19 @@
-"""Struct tests: roundtrips, validation, defaults, schema evolution."""
+"""Struct tests: roundtrips, validation, defaults, schema evolution, and
+the compiled decoder's paths and calls."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.event import ClientEvent
+from repro.thriftlike import types
+from repro.thriftlike.protocol import (
+    BinaryProtocolReader,
+    ByteCursor,
+    CompactProtocolReader,
+    ProtocolReader,
+    reader_for,
+    writer_for,
+)
 from repro.thriftlike.struct import ThriftStruct
 from repro.thriftlike.types import FieldSpec, TType, ValidationError, elem
 
@@ -191,3 +202,101 @@ class TestPropertyRoundtrip:
         original = V2(a=a, b=b, c=c)
         decoded = V2.from_bytes(original.to_bytes(protocol), protocol)
         assert decoded == original
+
+
+def _everything():
+    return Everything(
+        flag=False, small=-7, medium=300, normal=-123456, big=10 ** 15,
+        real=-3.25, text="héllo", nested=Inner(value=42),
+        items=["a", ""], tags={1, -2}, mapping={"x": 1})
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+class TestDecoderPaths:
+    """``read(reader)`` and ``from_bytes`` run one compiled decoder."""
+
+    @pytest.mark.parametrize("prefix,suffix", [
+        (b"", b""),                        # the payload alone
+        (b"", b"\x00trailing"),            # trailing bytes are not read
+        (b"\x07\x07\x07", b"\xff\xff"),    # a struct read mid-buffer
+    ])
+    def test_read_and_from_bytes_agree(self, protocol, prefix, suffix):
+        payload = _everything().to_bytes(protocol)
+        reader = reader_for(protocol, prefix + payload + suffix)
+        reader.pos = len(prefix)
+        read = Everything.read(reader)
+        assert read == Everything.from_bytes(payload + suffix, protocol)
+        assert read == _everything()
+        assert reader.pos == len(prefix) + len(payload)
+
+    def test_nested_struct_read_leaves_the_reader_after_it(self, protocol):
+        writer = writer_for(protocol)
+        Inner(value=5).write(writer)
+        writer.write_i32(99)
+        reader = reader_for(protocol, writer.getvalue())
+        assert Inner.read(reader) == Inner(value=5)
+        assert reader.read_i32() == 99
+
+    def test_clean_decode_calls_no_reader_method_or_validation(
+            self, protocol, monkeypatch):
+        calls = []
+
+        def counting(owner, name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(f"{owner.__name__}.{name}")
+                return method(*args, **kwargs)
+            return wrapper
+
+        for owner in (ByteCursor, ProtocolReader, BinaryProtocolReader,
+                      CompactProtocolReader):
+            for name, method in list(vars(owner).items()):
+                if callable(method) and not name.startswith("__"):
+                    monkeypatch.setattr(owner, name,
+                                        counting(owner, name, method))
+        monkeypatch.setattr(ThriftStruct, "validate",
+                            counting(ThriftStruct, "validate",
+                                     ThriftStruct.validate))
+        monkeypatch.setattr(types, "check_value",
+                            counting(types, "check_value",
+                                     types.check_value))
+        event = ClientEvent.make(
+            "web:home:timeline:stream:tweet:click", user_id=2 ** 40,
+            session_id="s", ip="10.0.0.1", timestamp=1_330_000_000_000,
+            details={f"k{i}": "v" for i in range(11)}, country="us",
+            logged_in=True)
+        payload = event.to_bytes(protocol)
+        calls.clear()
+        assert ClientEvent.from_bytes(payload, protocol) == event
+        reader = reader_for(protocol, payload)
+        calls.clear()
+        assert ClientEvent.read(reader) == event
+        assert calls == []
+
+
+class TestPostDecodeChecks:
+    """Decoding checks what it cannot guarantee, with validate's text."""
+
+    def test_out_of_range_i32_is_rejected(self):
+        writer = writer_for("compact")
+        writer.write_field(1, TType.I32)
+        writer.write_i32(2 ** 31)  # a compact varint holds any width
+        writer.write_field_stop()
+        with pytest.raises(ValidationError,
+                           match=r"^value: 2147483648 out of range for I32$"):
+            Inner.from_bytes(writer.getvalue())
+
+    def test_out_of_range_element_is_rejected(self):
+        writer = writer_for("compact")
+        writer.write_field(10, TType.SET)
+        writer.write_collection_begin(TType.I32, 1)
+        writer.write_i32(-(2 ** 31) - 1)
+        writer.write_field_stop()
+        with pytest.raises(ValidationError,
+                           match=r"^<elem>: -2147483649 out of range"):
+            Everything.from_bytes(writer.getvalue())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_missing_required_field_is_rejected(self, protocol):
+        payload = Everything(text="no a").to_bytes(protocol)
+        with pytest.raises(ValidationError, match=r"^V1\.a is required$"):
+            V1.from_bytes(payload, protocol)
