@@ -66,12 +66,6 @@ class ByteCursor:
         self.data = data
         self.pos = 0
 
-    def read_u8(self) -> int:
-        """The unsigned byte at the cursor."""
-        byte = _u8(self.data, self.pos)
-        self.pos += 1
-        return byte
-
     def read_exact(self, n: int) -> bytes:
         """The next ``n`` bytes."""
         chunk, self.pos = _take(self.data, self.pos, n)
@@ -162,15 +156,15 @@ SCALAR_WRITERS = {
 }
 
 
-#: ``(data, pos) -> (value, position after it)``.
 Read = Callable[[bytes, int], Tuple[Any, int]]
 
 
 class Wire(NamedTuple):
     """One protocol's stateless reads, composed by struct decoders and
     wrapped by :class:`ProtocolReader`: ``field(data, pos, previous fid)
-    -> (fid, wire type, pos)``, a ``Read`` per scalar type, list/set and
-    map headers, and ``skip(data, pos, wire type) -> pos``."""
+    -> (fid, wire type, pos)``, a ``Read`` (``(data, pos) -> (value,
+    pos)``) per scalar type, list/set and map headers, and ``skip(data,
+    pos, wire type) -> pos``."""
 
     name: str
     field: Callable[[bytes, int, int], Tuple[int, TType, int]]
@@ -244,16 +238,6 @@ def _read_bool(data: bytes, pos: int) -> Tuple[bool, int]:
     return _u8(data, pos) != 0, pos + 1
 
 
-def _text(binary: Read) -> Read:
-    def read(data: bytes, pos: int) -> Tuple[str, int]:
-        chunk, pos = binary(data, pos)
-        try:
-            return str(chunk, "utf-8"), pos
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(_BAD_UTF8) from exc
-    return read
-
-
 def _value_method(ttype: TType, doc: str) -> Callable[[Any], Any]:
     def read(self: "ProtocolReader") -> Any:
         value, self.pos = self.wire.values[ttype](self.data, self.pos)
@@ -263,8 +247,7 @@ def _value_method(ttype: TType, doc: str) -> Callable[[Any], Any]:
 
 
 class ProtocolReader(ByteCursor):
-    """A :class:`ByteCursor` that knows a wire protocol: each method runs
-    one of the protocol's :class:`Wire` functions at the cursor."""
+    """A :class:`ByteCursor` whose methods wrap a protocol's :class:`Wire`."""
 
     wire: Wire
 
@@ -357,6 +340,14 @@ def _binary_binary(data: bytes, pos: int) -> Tuple[bytes, int]:
     return _take(data, pos, n)
 
 
+def _binary_string(data: bytes, pos: int) -> Tuple[str, int]:
+    chunk, pos = _binary_binary(data, pos)
+    try:
+        return str(chunk, "utf-8"), pos
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(_BAD_UTF8) from exc
+
+
 def _binary_header(layout: _struct.Struct, kind: str) -> Callable:
     def read(data: bytes, pos: int) -> tuple:
         (*ttypes, size), pos = _unpack(layout, data, pos)
@@ -369,7 +360,7 @@ def _binary_header(layout: _struct.Struct, kind: str) -> Callable:
 BINARY = _wire("binary", _binary_field, {
     TType.BOOL: _read_bool, TType.BYTE: _fixed(_I8), TType.I16: _binary_i16,
     TType.I32: _binary_i32, TType.I64: _fixed(_I64),
-    TType.DOUBLE: _fixed(_DOUBLE), TType.STRING: _text(_binary_binary),
+    TType.DOUBLE: _fixed(_DOUBLE), TType.STRING: _binary_string,
 }, _binary_binary, _binary_header(_COLLECTION, "collection"),
     _binary_header(_MAP, "map"))
 
@@ -489,16 +480,22 @@ def _compact_binary(data: bytes, pos: int) -> Tuple[bytes, int]:
 
 
 def _compact_string(data: bytes, pos: int) -> Tuple[str, int]:
-    # ``_text(_compact_binary)`` in one call: strings are most of an event.
-    if pos < len(data) and (n := data[pos]) < 0x80:
+    # ``_compact_binary`` and the UTF-8 decode in one call: strings are
+    # most of what a log event is.
+    try:
+        n = data[pos]
+    except IndexError:
+        raise ProtocolError(_TRUNCATED_BYTE) from None
+    if n < 0x80:
         pos += 1
     else:
         n, pos = read_varint(data, pos)
-    chunk = data[pos:pos + n]
-    if len(chunk) != n:
-        raise ProtocolError(f"truncated read: wanted {n}, got {len(chunk)}")
+    end = pos + n
+    if end > len(data):
+        raise ProtocolError(f"truncated read: wanted {n}, "
+                            f"got {len(data) - pos}")
     try:
-        return str(chunk, "utf-8"), pos + n
+        return str(data[pos:end], "utf-8"), end
     except UnicodeDecodeError as exc:
         raise ProtocolError(_BAD_UTF8) from exc
 
@@ -548,8 +545,3 @@ def reader_for(protocol: str, data: bytes) -> ProtocolReader:
         return PROTOCOLS[protocol][1](data)
     except KeyError as exc:
         raise ProtocolError(f"unknown protocol {protocol!r}") from exc
-
-
-def wire_for(protocol: str) -> Wire:
-    """A protocol's :class:`Wire` by name (``binary`` or ``compact``)."""
-    return reader_for(protocol, b"").wire

@@ -18,7 +18,7 @@ from repro.thriftlike.protocol import (
     ProtocolWriter,
     Read,
     Wire,
-    wire_for,
+    reader_for,
     writer_for,
 )
 from repro.thriftlike.types import (
@@ -35,8 +35,7 @@ ValueWriter = Callable[[ProtocolWriter, Any], None]
 
 
 class _Plan(NamedTuple):
-    """What ``validate``, ``write`` and ``read`` need, resolved once per
-    class: checks and writes in declaration order, a decoder per protocol."""
+    """A class's checks and writes in declaration order, and decoders."""
 
     checks: Tuple[Tuple[str, bool, Callable[[Any], None]], ...]
     writes: Tuple[Tuple[str, int, TType, ValueWriter], ...]
@@ -86,15 +85,15 @@ class ThriftStruct:
 
     @classmethod
     def _plan(cls) -> _Plan:
-        """This class's compiled read/validate/write plan (built on first
-        use and kept in the class ``__dict__``, so a subclass compiles its
-        own)."""
+        """This class's compiled plan, built on first use and kept in the
+        class ``__dict__`` (so a subclass compiles its own)."""
         plan = cls.__dict__.get("_compiled_plan")
         if plan is None:
             specs = cls.field_map().values()
             plan = cls._compiled_plan = _Plan(
-                checks=tuple((spec.name, spec.required,
-                              compile_checker(spec)) for spec in specs),
+                checks=tuple((slot, spec.name, spec.required,
+                              compile_checker(spec))
+                             for slot, spec in enumerate(specs)),
                 writes=tuple((spec.name, spec.fid, spec.ttype,
                               _compile_writer(spec)) for spec in specs),
                 decoders={})
@@ -105,12 +104,14 @@ class ThriftStruct:
         """This class's compiled decoder for the named protocol."""
         decoders = cls._plan().decoders
         if protocol not in decoders:
-            decoders[protocol] = _compile_decoder(cls, wire_for(protocol))
+            wire = reader_for(protocol, b"").wire  # unknown: ProtocolError
+            decoders[protocol] = _compile_decoder(cls, wire)
         return decoders[protocol]
 
     def validate(self) -> None:
         """Check required fields are set and values match declared types."""
-        _check(self, self._plan().checks)
+        _check(type(self), [getattr(self, spec.name) for spec in self.FIELDS],
+               self._plan().checks)
 
     # -- serialization ---------------------------------------------------
     def write(self, writer: ProtocolWriter) -> None:
@@ -205,27 +206,27 @@ def _to_plain(value: Any) -> Any:
 
 def _compile_decoder(cls: Type[T], wire: Wire) -> Read:
     """Compose ``decode(data, pos) -> (instance, pos)`` for one class and
-    one protocol. After the read it checks only what decoding cannot
-    guarantee, required fields and integer ranges: every other part of
-    :meth:`ThriftStruct.validate` holds by construction."""
+    protocol. It checks only what decoding cannot guarantee, required
+    fields and integer ranges; the rest of ``validate`` holds by design."""
     specs = cls.FIELDS
     read_field, skip, stop = wire.field, wire.skip, TType.STOP
-    fields = {(spec.fid, spec.ttype): (spec.name, _compile_read(spec, wire))
-              for spec in specs}
-    defaults = tuple((spec.name, spec.default, callable(spec.default))
-                     for spec in specs)
-    checks = tuple((spec.name, spec.required,
+    fields = {(spec.fid, spec.ttype): (slot, _compile_read(spec, wire))
+              for slot, spec in enumerate(specs)}
+    names = tuple(spec.name for spec in specs)
+    # Values start as the defaults; a factory default is called per
+    # instance, when its field is absent (a decoded value is never None).
+    initial = [None if callable(spec.default) else spec.default
+               for spec in specs]
+    factories = tuple((slot, spec.default) for slot, spec in enumerate(specs)
+                      if callable(spec.default))
+    checks = tuple((slot, spec.name, spec.required,
                     compile_checker(spec) if _holds_int(spec) else None)
-                   for spec in specs if spec.required or _holds_int(spec))
+                   for slot, spec in enumerate(specs)
+                   if spec.required or _holds_int(spec))
     new = cls.__new__
 
     def decode(data: bytes, pos: int) -> Tuple[T, int]:
-        obj = new(cls)
-        # What ``cls()`` would set, without ``__init__``'s keyword checks.
-        # ``setattr`` rather than filling ``__dict__``: it keeps instances
-        # on the interpreter's shared-key, no-dict-object layout.
-        for name, default, is_factory in defaults:
-            setattr(obj, name, default() if is_factory else default)
+        values = initial.copy()
         fid = 0
         while True:
             fid, ttype, pos = read_field(data, pos, fid)
@@ -236,20 +237,28 @@ def _compile_decoder(cls: Type[T], wire: Wire) -> Read:
                 # Unknown or retyped field: skip for forward compatibility.
                 pos = skip(data, pos, ttype)
             else:
-                value, pos = field[1](data, pos)
-                setattr(obj, field[0], value)
-        _check(obj, checks)
+                values[field[0]], pos = field[1](data, pos)
+        for slot, factory in factories:
+            if values[slot] is None:
+                values[slot] = factory()
+        _check(cls, values, checks)
+        obj = new(cls)
+        # ``setattr`` in declaration order rather than filling
+        # ``__dict__``: it keeps instances on the interpreter's
+        # shared-key, no-dict-object layout.
+        for name, value in zip(names, values):
+            setattr(obj, name, value)
         return obj, pos
     return decode
 
 
-def _check(obj: ThriftStruct, checks: tuple) -> None:
-    """Run ``(name, required, checker or None)`` checks in order."""
-    for name, required, check in checks:
-        value = getattr(obj, name)
+def _check(cls: type, values: list, checks: tuple) -> None:
+    """Run ``(slot, name, required, checker or None)`` checks in order."""
+    for slot, name, required, check in checks:
+        value = values[slot]
         if value is None:
             if required:
-                raise ValidationError(f"{type(obj).__name__}.{name} is required")
+                raise ValidationError(f"{cls.__name__}.{name} is required")
         elif check is not None:
             check(value)
 
@@ -261,9 +270,8 @@ def _holds_int(spec: FieldSpec) -> bool:
 
 
 def _compile_read(spec: FieldSpec, wire: Wire) -> Read:
-    """Compose one declared field's ``Read``. A container whose element
-    types on the wire are not the declared ones skips each element and
-    comes back empty."""
+    """Compose one declared field's ``Read``. A container whose wire element
+    types are not the declared ones skips its elements and comes back empty."""
     ttype, skip = spec.ttype, wire.skip
     if ttype in wire.values:
         return wire.values[ttype]

@@ -166,7 +166,7 @@ def _block_header(data: bytes) -> Tuple[ByteCursor, int, Optional[bytes]]:
     """``(cursor at the payload, value count, presence bitmap or None)``."""
     cursor = ByteCursor(data)
     count = cursor.read_varint()
-    if cursor.read_u8() == 0:
+    if cursor.read_exact(1) == b"\x00":
         return cursor, count, None
     return cursor, count, cursor.read_exact(-(-count // 8))
 
