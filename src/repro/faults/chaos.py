@@ -422,8 +422,7 @@ def run_chaos(seed: int, hours: int = 2, scenario: Scenario = HOURLY, *,
         report.monitor = PipelineMonitor(
             auditor=DataQualityAuditor(mover, daemons=daemons),
             rules=standard_rules(),
-            max_samples=max(2048, (hours + 1) * (SLICES_PER_HOUR + 2)),
-            now_ms=clock.now())
+            max_samples=max(2048, (hours + 1) * (SLICES_PER_HOUR + 2)))
 
     def tick() -> None:
         if report.monitor is not None:

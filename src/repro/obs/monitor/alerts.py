@@ -80,8 +80,8 @@ class AlertRule:
         """The firing message while the condition holds, else None."""
         raise NotImplementedError
 
-    def attach(self, store: TimeSeriesStore) -> None:
-        """Take any baseline from the monitor's sample at attach time,
+    def attach(self, registry: MetricsRegistry) -> None:
+        """Take any baseline from the registry as the monitor attaches,
         before any traffic. Stateless rules need none."""
 
 
@@ -130,8 +130,8 @@ class DeltaRule(AlertRule):
         self._quiet = 0
         self._since_fire = 0.0
 
-    def attach(self, store: TimeSeriesStore) -> None:
-        self._last = store.latest_total(self.metric)
+    def attach(self, registry: MetricsRegistry) -> None:
+        self._last = registry.total(self.metric)
 
     def evaluate(self, ctx: MonitorContext) -> Optional[str]:
         value = ctx.store.latest_total(self.metric)

@@ -81,17 +81,15 @@ class PipelineMonitor:
     Without an auditor the monitor still samples and alerts on series --
     the shape used for registry-only deployments and unit tests.
 
-    The monitor samples the registry once as it attaches, at logical
-    instant ``now_ms`` (attach before any traffic), and every rule takes
-    its baseline from that sample: an event between the attach and the
-    first tick is seen.
+    The monitor reads the registry once as it attaches (attach it before
+    any traffic) and every rule takes its baseline from that reading, so
+    an event between the attach and the first tick is seen.
     """
 
     def __init__(self, auditor: Optional[DataQualityAuditor] = None,
                  rules: Optional[Sequence[AlertRule]] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 max_samples: int = DEFAULT_MAX_SAMPLES,
-                 now_ms: int = 0) -> None:
+                 max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
         self._registry = registry
         self.store = TimeSeriesStore(registry=registry,
                                      max_samples=max_samples)
@@ -101,9 +99,8 @@ class PipelineMonitor:
             registry=registry)
         self.audits: List[HourAudit] = []
         self.ticks = 0
-        self.store.sample(now_ms)
         for rule in self.engine.rules:
-            rule.attach(self.store)
+            rule.attach(self.registry)
 
     @property
     def registry(self) -> MetricsRegistry:

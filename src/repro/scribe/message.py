@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.thriftlike.protocol import ByteCursor, write_varint
+from repro.thriftlike.protocol import read_bytes, read_varint, write_varint
 from repro.thriftlike.types import ProtocolError
 
 _CATEGORY_RE = re.compile(r"^[a-z0-9_\-]+$")
@@ -202,11 +202,11 @@ def decode_envelope(
     """
     if not data.startswith(ENVELOPE_MAGIC):
         return None, None, data
-    cursor = ByteCursor(data)
-    cursor.pos = len(ENVELOPE_MAGIC)
     try:
-        origin = cursor.read_exact(cursor.read_varint()).decode("utf-8")
-        seq = cursor.read_varint()
+        n, pos = read_varint(data, len(ENVELOPE_MAGIC))
+        origin, pos = read_bytes(data, pos, n)
+        origin = origin.decode("utf-8")
+        seq, pos = read_varint(data, pos)
     except (ProtocolError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed scribe envelope: {exc}") from exc
-    return origin, seq, data[cursor.pos:]
+    return origin, seq, data[pos:]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 from typing import Callable, Iterable, Iterator, List, Type, TypeVar
 
-from repro.thriftlike.protocol import ByteCursor, write_varint
+from repro.thriftlike.protocol import read_bytes, read_varint, write_varint
 from repro.thriftlike.struct import ThriftStruct
 
 T = TypeVar("T", bound=ThriftStruct)
@@ -31,9 +31,11 @@ def frame(payload: bytes) -> bytes:
 
 def iter_frames(data: bytes) -> Iterator[bytes]:
     """Yield record payloads from a concatenation of frames."""
-    cursor = ByteCursor(data)
-    while cursor.pos < len(data):
-        yield cursor.read_exact(cursor.read_varint())
+    pos = 0
+    while pos < len(data):
+        n, pos = read_varint(data, pos)
+        payload, pos = read_bytes(data, pos, n)
+        yield payload
 
 
 def record_writer(struct_cls: Type[T],

@@ -28,21 +28,23 @@ _MAP = _struct.Struct(">BBi")
 #: type, a short-form field header or a varint below 128.
 _BYTE = [bytes((value,)) for value in range(256)]
 
-
 _TRUNCATED_BYTE = "truncated read: wanted 1, got 0"
 _BAD_UTF8 = "invalid utf-8 in string field"
 
 
 def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
     """``(value, position after)`` of the base-128 varint at ``pos``."""
-    result = shift = 0
     try:
+        byte = data[pos]
+        if byte < 0x80:  # one byte: most lengths, sizes and small ints
+            return byte, pos + 1
+        result, shift = byte & 0x7F, 7
         while True:
-            byte = data[pos]
             pos += 1
+            byte = data[pos]
             result |= (byte & 0x7F) << shift
             if byte < 0x80:
-                return result, pos
+                return result, pos + 1
             shift += 7
             if shift > 70:
                 raise ProtocolError("varint too long")
@@ -58,9 +60,8 @@ def _u8(data: bytes, pos: int) -> int:
 
 
 class ByteCursor:
-    """A read position over a bytes object: the protocol readers below,
-    record frames, column blocks and Scribe envelopes are read through
-    one. Every read past the end raises :class:`ProtocolError`."""
+    """A read position over a bytes object (protocol readers, column
+    blocks); every read past the end raises :class:`ProtocolError`."""
 
     def __init__(self, data: bytes) -> None:
         self.data = data
@@ -68,7 +69,7 @@ class ByteCursor:
 
     def read_exact(self, n: int) -> bytes:
         """The next ``n`` bytes."""
-        chunk, self.pos = _take(self.data, self.pos, n)
+        chunk, self.pos = read_bytes(self.data, self.pos, n)
         return chunk
 
     def read_varint(self) -> int:
@@ -161,10 +162,9 @@ Read = Callable[[bytes, int], Tuple[Any, int]]
 
 class Wire(NamedTuple):
     """One protocol's stateless reads, composed by struct decoders and
-    wrapped by :class:`ProtocolReader`: ``field(data, pos, previous fid)
-    -> (fid, wire type, pos)``, a ``Read`` (``(data, pos) -> (value,
-    pos)``) per scalar type, list/set and map headers, and ``skip(data,
-    pos, wire type) -> pos``."""
+    wrapped by :class:`ProtocolReader`: ``field(data, pos, last fid) ->
+    (fid, wire type, pos)``, a ``Read`` (``(data, pos) -> (value, pos)``)
+    per scalar type, list/set and map headers, and ``skip``."""
 
     name: str
     field: Callable[[bytes, int, int], Tuple[int, TType, int]]
@@ -212,7 +212,8 @@ def _to_ttype(raw: int) -> TType:
         raise ProtocolError(f"unknown wire type {raw}") from None
 
 
-def _take(data: bytes, pos: int, n: int) -> Tuple[bytes, int]:
+def read_bytes(data: bytes, pos: int, n: int) -> Tuple[bytes, int]:
+    """``(the n bytes at pos, position after)``."""
     chunk = data[pos:pos + n]
     if len(chunk) != n:
         raise ProtocolError(f"truncated read: wanted {n}, got {len(chunk)}")
@@ -337,7 +338,7 @@ def _binary_binary(data: bytes, pos: int) -> Tuple[bytes, int]:
     n, pos = _binary_i32(data, pos)
     if n < 0:
         raise ProtocolError(f"negative string length {n}")
-    return _take(data, pos, n)
+    return read_bytes(data, pos, n)
 
 
 def _binary_string(data: bytes, pos: int) -> Tuple[str, int]:
@@ -476,12 +477,11 @@ def _compact_int(data: bytes, pos: int) -> Tuple[int, int]:
 
 def _compact_binary(data: bytes, pos: int) -> Tuple[bytes, int]:
     n, pos = read_varint(data, pos)
-    return _take(data, pos, n)
+    return read_bytes(data, pos, n)
 
 
 def _compact_string(data: bytes, pos: int) -> Tuple[str, int]:
-    # ``_compact_binary`` and the UTF-8 decode in one call: strings are
-    # most of what a log event is.
+    # ``_compact_binary`` and its decode in one call: strings dominate.
     try:
         n = data[pos]
     except IndexError:

@@ -223,7 +223,6 @@ def _compile_decoder(cls: Type[T], wire: Wire) -> Read:
                     compile_checker(spec) if _holds_int(spec) else None)
                    for slot, spec in enumerate(specs)
                    if spec.required or _holds_int(spec))
-    new = cls.__new__
 
     def decode(data: bytes, pos: int) -> Tuple[T, int]:
         values = initial.copy()
@@ -242,10 +241,9 @@ def _compile_decoder(cls: Type[T], wire: Wire) -> Read:
             if values[slot] is None:
                 values[slot] = factory()
         _check(cls, values, checks)
-        obj = new(cls)
-        # ``setattr`` in declaration order rather than filling
-        # ``__dict__``: it keeps instances on the interpreter's
-        # shared-key, no-dict-object layout.
+        obj = cls.__new__(cls)
+        # ``setattr`` in declaration order, not ``__dict__``: instances
+        # keep the interpreter's shared-key, no-dict-object layout.
         for name, value in zip(names, values):
             setattr(obj, name, value)
         return obj, pos
