@@ -37,7 +37,7 @@ ValueWriter = Callable[[ProtocolWriter, Any], None]
 class _Plan(NamedTuple):
     """A class's checks and writes in declaration order, and decoders."""
 
-    checks: Tuple[Tuple[str, bool, Callable[[Any], None]], ...]
+    checks: Tuple[Tuple[int, str, bool, Callable[[Any], None]], ...]
     writes: Tuple[Tuple[str, int, TType, ValueWriter], ...]
     decoders: Dict[str, Read]
 
