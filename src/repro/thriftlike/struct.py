@@ -24,6 +24,7 @@ from repro.thriftlike.protocol import (
 from repro.thriftlike.types import (
     INT_TYPES,
     FieldSpec,
+    ProtocolError,
     TType,
     ValidationError,
     compile_checker,
@@ -142,8 +143,17 @@ class ThriftStruct:
 
     @classmethod
     def from_bytes(cls: Type[T], data: bytes, protocol: str = "compact") -> T:
-        """Deserialize with the named protocol (default compact)."""
-        return cls._decoder(protocol)(data, 0)[0]
+        """Deserialize with the named protocol (default compact).
+
+        ``data`` is exactly one struct: bytes left after its STOP mean
+        the payload is corrupt, not that the struct ended early.
+        """
+        obj, end = cls._decoder(protocol)(data, 0)
+        if end != len(data):
+            raise ProtocolError(
+                f"{len(data) - end} byte(s) left after the end of "
+                f"{cls.__name__}")
+        return obj
 
     # -- conveniences ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -13,11 +13,24 @@ payload. Each case pins three things:
 - a digest of every attempt's outcome *with its message*, in order, so
   which check fires first on a corrupt payload is part of the contract.
 
-The digests were captured against the method-per-value decoder, before
-the per-class position-passing decoders replaced it, by running this
-file as a script::
+The digests were first captured against the method-per-value decoder,
+before the per-class position-passing decoders replaced it, by running
+this file as a script::
 
     PYTHONPATH=src python -m tests.test_thriftlike_flip_golden
+
+They were re-captured once, when ``from_bytes`` began rejecting bytes
+left after the struct's STOP. Exactly the attempts that used to decode
+with bytes left over moved, each from ``decoded`` to that
+``ProtocolError``; every other attempt kept its outcome and message:
+
+=============================  ======================
+case                           decoded -> ProtocolError
+=============================  ======================
+``client_event.binary.flips``                       9
+``kitchen_sink.binary.flips``                      11
+``kitchen_sink.compact.flips``                    129
+=============================  ======================
 """
 
 import hashlib
@@ -36,21 +49,21 @@ from tests.test_thriftlike_wire_golden import (
 
 GOLDEN = {
     "client_event.binary.flips.outcomes":
-        "e91b8be7c9a9b3cc94a1d79d9ce3aac94b0fd68693c87bd38073b19dec0c5d35",
+        "6b45376953104cc91b21dc71667cdef2bba34444b03796fca01d503ac98e28b7",
     "client_event.binary.flips.survivors":
-        "d94bd995e94810a7571a6c1544c4d1c3a46446d88680ba011c710693bf2d2b5d",
+        "9d5a7c4fe0ee2909d7a1feec8a5828d84b43fd9c30b2a6b12bf2d42fbb63c504",
     "kitchen_sink.binary.flips.outcomes":
-        "ccbf798589dc552df68d1377290829c2e18d2deff92c458e4f92b1daf468cf84",
+        "50ceef24328748e395bfe24e28a9dc922c68fce31ac0cbab278074a8419d3b6b",
     "kitchen_sink.binary.flips.survivors":
-        "7f20e667818eb5b5c056f4e06dc024e77feaeb2d0c300842b87324d99e7f23eb",
+        "d1b76b9a1e8c099719c8bd150243d9ed79e2db8e44aa3bba504d6963c3559b8f",
     "kitchen_sink.binary.prefixes.outcomes":
         "d3243a2cd170a4d927324307cbb388369c2e4f4218f115d46044386aba0e101e",
     "kitchen_sink.binary.prefixes.survivors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "kitchen_sink.compact.flips.outcomes":
-        "b3831aa0579f99cef4ca7e6553f9ce9c6f58c427f6d15c5efb38a88027c66136",
+        "74156bf9a0b12d580583eafc9213f224a2b5321cf41fb4c0178787ecc716b58b",
     "kitchen_sink.compact.flips.survivors":
-        "fbb9d7fed4d3edd3e736febf0bbfa8d45361e46bd3d26f6d3e6a71cc878e9f51",
+        "3f50ef1bd8e28749ae77340da26412cf597abfed57a9c80ec0f8817540f56b7f",
     "kitchen_sink.compact.prefixes.outcomes":
         "8e7b53161a2223c1d25d3c00194ad56d2ae8fade1b7529602ada87cf2005382b",
     "kitchen_sink.compact.prefixes.survivors":
@@ -59,12 +72,12 @@ GOLDEN = {
 
 HISTOGRAMS = {
     "client_event.binary.flips":
-        {"ProtocolError": 11994, "ValidationError": 512, "decoded": 7494},
+        {"ProtocolError": 12003, "ValidationError": 512, "decoded": 7485},
     "kitchen_sink.binary.flips":
-        {"ProtocolError": 2251, "ValidationError": 321, "decoded": 2428},
+        {"ProtocolError": 2262, "ValidationError": 321, "decoded": 2417},
     "kitchen_sink.binary.prefixes": {"ProtocolError": 215},
     "kitchen_sink.compact.flips":
-        {"ProtocolError": 3039, "ValidationError": 230, "decoded": 1731},
+        {"ProtocolError": 3168, "ValidationError": 230, "decoded": 1602},
     "kitchen_sink.compact.prefixes": {"ProtocolError": 111},
 }
 

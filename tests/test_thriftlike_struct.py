@@ -213,7 +213,9 @@ def _everything():
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestDecoderPaths:
-    """``read(reader)`` and ``from_bytes`` run one compiled decoder."""
+    """``read(reader)`` and ``from_bytes`` run one compiled decoder;
+    ``read`` may stop mid-buffer, ``from_bytes`` takes exactly one
+    struct."""
 
     @pytest.mark.parametrize("prefix,suffix", [
         (b"", b""),                        # the payload alone
@@ -225,9 +227,13 @@ class TestDecoderPaths:
         reader = reader_for(protocol, prefix + payload + suffix)
         reader.pos = len(prefix)
         read = Everything.read(reader)
-        assert read == Everything.from_bytes(payload + suffix, protocol)
+        assert read == Everything.from_bytes(payload, protocol)
         assert read == _everything()
         assert reader.pos == len(prefix) + len(payload)
+        if suffix:
+            with pytest.raises(types.ProtocolError,
+                               match=f"^{len(suffix)} byte"):
+                Everything.from_bytes(payload + suffix, protocol)
 
     def test_nested_struct_read_leaves_the_reader_after_it(self, protocol):
         writer = writer_for(protocol)
@@ -300,3 +306,24 @@ class TestPostDecodeChecks:
         payload = Everything(text="no a").to_bytes(protocol)
         with pytest.raises(ValidationError, match=r"^V1\.a is required$"):
             V1.from_bytes(payload, protocol)
+
+
+class TestStrictFraming:
+    """``from_bytes`` takes exactly one struct: bytes after its STOP are
+    a corrupt payload, not optional fields that happen to be absent."""
+
+    def test_header_flipped_to_stop_is_rejected(self):
+        event = ClientEvent.make("web:home:timeline:stream:tweet:click",
+                                 user_id=7, session_id="s", ip="1.1.1.1",
+                                 timestamp=1, details={"k": "v"},
+                                 country="us", logged_in=True)
+        payload = bytearray(event.to_bytes())
+        # Without country and logged_in the payload ends at the STOP
+        # that stands where country's header (delta 1, STRING) was.
+        at = len(event.replace(country=None, logged_in=None).to_bytes()) - 1
+        assert payload[at] == 0x1b
+        payload[at] = 0x10  # same delta, type nibble STOP
+        with pytest.raises(types.ProtocolError,
+                           match=r"^6 byte\(s\) left after the end of "
+                                 r"ClientEvent$"):
+            ClientEvent.from_bytes(bytes(payload))
