@@ -728,7 +728,7 @@ def _audit(report: ChaosReport, daemons, warehouse, mover: LogMover,
 #: Injected fault classes mapped to the alert each must fire: site
 #: prefix, fault kind, alert rule name.
 ALERT_EXPECTATIONS = (
-    ("hdfs.", KIND_UNAVAILABLE, "staging_outage"),
+    ("hdfs.staging-", KIND_UNAVAILABLE, "staging_outage"),
     ("aggregator.", KIND_CRASH, "aggregator_failover"),
     ("logmover.", KIND_CRASH, "mover_crash"),
 )

@@ -128,6 +128,14 @@ class TestRunChaos:
         report = run_chaos(1, hours=2, scenario=scenario)
         assert report.summary() == PINNED_SUMMARIES[scenario.name]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_partition_alert_audit_passes(self, seed):
+        # The warehouse shard loss only defers a move; it must not be
+        # counted against the staging outage's alert.
+        report = run_chaos(seed, hours=2, scenario=PARTITION, monitor=True)
+        assert report.ok, report.summary()
+        assert report.alerts_fired > 0
+
     def test_identical_seeds_identical_storms(self):
         a = run_chaos(5, hours=1)
         set_default_registry(MetricsRegistry())
