@@ -13,8 +13,6 @@ Measured and asserted (the ISSUE acceptance bars):
 * a projected, filtered counting query decodes at least 5x fewer bytes
   from columnar segments than the raw row scan it replaces, with the
   identical answer;
-* the answer is byte-identical across the ``serial`` and ``processes``
-  backends, with and without segments;
 * zone maps compose with Elephant Twin: the index prunes whole splits,
   and ``columnar_blocks_pruned_total`` still rises within the
   survivors -- with identical rows out.
@@ -57,7 +55,6 @@ SMOKE_USERS = 120
 SEED = 2012
 
 PATTERN = "web:signup:step_confirm:*"
-BACKENDS = ("serial", "processes")
 #: Block granularity for the bench build: finer than Elephant Twin's
 #: split granularity, so zone maps still have blocks to prune inside
 #: the index's surviving splits.
@@ -97,22 +94,15 @@ def _raw_scan_bytes(fs):
                for path in ClientEventsLoader(fs, *DATE).paths())
 
 
-def _counting_query(fs, backend=None):
+def _counting_query(fs):
     """The E6 counting query; decoded-byte accounting on a fresh registry
-    so the measurement covers exactly this run.
-
-    ``columnar_bytes`` (the registry metric) is only visible for
-    in-process execution -- ``processes`` workers decode in their own
-    interpreters -- so cross-backend parity leans on ``input_bytes``,
-    the engine counter merged back from every task deterministically.
-    """
+    so the measurement covers exactly this run."""
     registry = MetricsRegistry()
     old = set_default_registry(registry)
     tracker = JobTracker()
     try:
         started = time.perf_counter()
-        count = count_events_raw(fs, DATE, PATTERN, tracker=tracker,
-                                 backend=backend)
+        count = count_events_raw(fs, DATE, PATTERN, tracker=tracker)
         wall_s = time.perf_counter() - started
     finally:
         set_default_registry(old)
@@ -130,8 +120,7 @@ def _rows_key(rows):
 
 
 def projected_scenario(fs):
-    """Projected counting query: >=5x fewer decoded bytes, same answer
-    on every backend."""
+    """Projected counting query: >=5x fewer decoded bytes, same answer."""
     baseline = _counting_query(fs)  # segments absent: the raw row scan
     assert baseline["columnar_bytes"] == 0
     raw_bytes = _raw_scan_bytes(fs)
@@ -141,18 +130,11 @@ def projected_scenario(fs):
     build_wall_s = time.perf_counter() - start
     assert all(segment_status(fs, hour) == "fresh" for hour in build.built)
 
-    per_backend = {}
-    for backend in BACKENDS:
-        out = _counting_query(fs, backend=backend)
-        assert out["count"] == baseline["count"] > 0
-        per_backend[backend] = out
-    serial = per_backend["serial"]
-    # Identical task-level accounting on every backend, and a scan that
-    # reads far fewer bytes than the row scan it replaced.
-    assert all(per_backend[b]["input_bytes"] == serial["input_bytes"]
-               for b in BACKENDS)
-    assert serial["input_bytes"] < baseline["input_bytes"]
-    columnar_bytes = serial["columnar_bytes"]
+    columnar = _counting_query(fs)
+    assert columnar["count"] == baseline["count"] > 0
+    # A scan that reads far fewer bytes than the row scan it replaced.
+    assert columnar["input_bytes"] < baseline["input_bytes"]
+    columnar_bytes = columnar["columnar_bytes"]
     assert 0 < columnar_bytes < raw_bytes
     ratio = raw_bytes / columnar_bytes
     assert ratio >= MIN_BYTES_RATIO
@@ -164,19 +146,15 @@ def projected_scenario(fs):
         "columnar_bytes_decoded": columnar_bytes,
         "bytes_ratio": ratio,
         "input_bytes_raw": baseline["input_bytes"],
-        "input_bytes_columnar": serial["input_bytes"],
+        "input_bytes_columnar": columnar["input_bytes"],
         "hours_compacted": len(build.built),
         "rows_compacted": build.rows_compacted,
         "build_wall_s": build_wall_s,
         "raw_wall_s": baseline["wall_s"],
-        "wall_s": {b: per_backend[b]["wall_s"] for b in BACKENDS},
-        # Base: the raw row scan's wall clock, over the columnar serial
-        # scan's (one run each; recorded, never asserted).
-        "wall_ratio": baseline["wall_s"] / serial["wall_s"],
-        "parity": all(
-            (per_backend[b]["count"], per_backend[b]["input_bytes"])
-            == (baseline["count"], serial["input_bytes"])
-            for b in BACKENDS),
+        "wall_s": columnar["wall_s"],
+        # Base: the raw row scan's wall clock, over the columnar scan's
+        # (one run each; recorded, never asserted).
+        "wall_ratio": baseline["wall_s"] / columnar["wall_s"],
     }
 
 
@@ -259,8 +237,8 @@ def main(argv=None):
           f"{projected['columnar_bytes_decoded']}")
     print(f"  reduction              : {projected['bytes_ratio']:.1f}x")
     print(f"  raw / columnar wall    : {projected['raw_wall_s']:.3f}s / "
-          f"{projected['wall_s']['serial']:.3f}s = "
-          f"{projected['wall_ratio']:.1f}x (serial)")
+          f"{projected['wall_s']:.3f}s = "
+          f"{projected['wall_ratio']:.1f}x")
     print("=== E20 Elephant Twin composition ===")
     print(f"  splits index-skipped   : "
           f"{composition['index_skipped_splits']}")

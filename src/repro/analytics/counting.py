@@ -72,9 +72,19 @@ def _sequence_of(record: Any) -> str:
 
 # ---------------------------------------------------------------------------
 # Script-shaped entry points, over sequences and (for comparison) raw logs.
-# All row functions are module-level callables (not lambdas) so these
-# queries can run on the engine's ``processes`` backend.
 # ---------------------------------------------------------------------------
+
+#: Backend names the counting queries accept. Both run the engine's one
+#: in-process task loop; the names stay so existing callers keep working.
+QUERY_BACKENDS = ("serial", "processes")
+
+
+def _pig_server(tracker: Optional[JobTracker], backend: str) -> PigServer:
+    """The query's Pig server, once ``backend`` names a known backend."""
+    if backend not in QUERY_BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {QUERY_BACKENDS}")
+    return PigServer(tracker)
 
 
 def _sum_bag(group: dict) -> int:
@@ -121,15 +131,16 @@ def count_events_sequences(warehouse: HDFS, date: Tuple[int, int, int],
                            pattern: str, dictionary: EventDictionary,
                            tracker: Optional[JobTracker] = None,
                            mode: str = "sum",
-                           backend: Optional[str] = None,
+                           backend: str = "serial",
                            max_workers: Optional[int] = None) -> int:
     """The paper's counting script over the session-sequence store.
 
     ``mode='sum'`` totals event occurrences; ``mode='sessions'`` is the
-    COUNT variant (sessions containing the event).  ``backend`` /
-    ``max_workers`` select the MapReduce execution backend.
+    COUNT variant (sessions containing the event).  ``backend`` must
+    name one of :data:`QUERY_BACKENDS`; neither it nor ``max_workers``
+    changes how the query runs.
     """
-    pig = PigServer(tracker, backend=backend, max_workers=max_workers)
+    pig = _pig_server(tracker, backend)
     if mode == "sum":
         udf: EvalFunc = CountClientEvents(pattern, dictionary)
     elif mode == "sessions":
@@ -151,17 +162,16 @@ def count_events_raw(warehouse: HDFS, date: Tuple[int, int, int],
                      pattern: str,
                      tracker: Optional[JobTracker] = None,
                      mode: str = "sum",
-                     backend: Optional[str] = None,
+                     backend: str = "serial",
                      max_workers: Optional[int] = None) -> int:
     """The same query over raw client event logs (the §4.1 baseline).
 
     Project onto the event name early, filter, then (for the sessions
     variant) group by session to dedupe -- the brute-force plan whose
     scans and group-bys session sequences were built to avoid.
-    ``backend`` / ``max_workers`` select the MapReduce execution backend
-    (the heavy raw-log scan is where ``"processes"`` pays off).
+    ``backend`` / ``max_workers`` as for :func:`count_events_sequences`.
     """
-    pig = PigServer(tracker, backend=backend, max_workers=max_workers)
+    pig = _pig_server(tracker, backend)
     year, month, day = date
     raw = pig.load(ClientEventsLoader(warehouse, year, month, day))
     if mode == "sum":
@@ -186,7 +196,7 @@ def count_events_raw(warehouse: HDFS, date: Tuple[int, int, int],
 def count_events_selective(warehouse: HDFS, date: Tuple[int, int, int],
                            pattern: str,
                            tracker: Optional[JobTracker] = None,
-                           backend: Optional[str] = None,
+                           backend: str = "serial",
                            max_workers: Optional[int] = None) -> int:
     """Count raw events matching ``pattern`` via Elephant Twin pushdown.
 
@@ -195,9 +205,10 @@ def count_events_selective(warehouse: HDFS, date: Tuple[int, int, int],
     full day scan for the per-hour index partitions when they exist.
     Without partitions (or with stale ones) the plan degrades to
     scanning exactly the uncovered splits -- the count is identical to
-    :func:`count_events_raw` either way.
+    :func:`count_events_raw` either way. ``backend`` / ``max_workers``
+    as for :func:`count_events_sequences`.
     """
-    pig = PigServer(tracker, backend=backend, max_workers=max_workers)
+    pig = _pig_server(tracker, backend)
     year, month, day = date
     rows = (
         pig.load(ClientEventsLoader(warehouse, year, month, day))
@@ -209,9 +220,7 @@ def count_events_selective(warehouse: HDFS, date: Tuple[int, int, int],
 
 def events_for_user(warehouse: HDFS, date: Tuple[int, int, int],
                     user_id: int,
-                    tracker: Optional[JobTracker] = None,
-                    backend: Optional[str] = None,
-                    max_workers: Optional[int] = None) -> list:
+                    tracker: Optional[JobTracker] = None) -> list:
     """One user's client events for a day, via the ``user`` index field.
 
     The multi-field payoff: the same per-hour partitions that serve event
@@ -220,7 +229,7 @@ def events_for_user(warehouse: HDFS, date: Tuple[int, int, int],
     """
     from repro.pig.udf import UserEventsFilter
 
-    pig = PigServer(tracker, backend=backend, max_workers=max_workers)
+    pig = PigServer(tracker)
     year, month, day = date
     return (
         pig.load(ClientEventsLoader(warehouse, year, month, day))

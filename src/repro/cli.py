@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from repro.analytics.counting import count_events_raw, count_events_sequences
 from repro.analytics.funnel import run_funnel
 from repro.core.catalog import ClientEventCatalog
-from repro.mapreduce.backends import BACKEND_NAMES
 from repro.mapreduce.jobtracker import JobTracker
 from repro.workload.behavior import signup_funnel_stages
 from repro.workload.simulate import WarehouseSimulation
@@ -70,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="e.g. '*:profile_click' or 'web:home:*'")
     count.add_argument("--sessions", action="store_true",
                        help="count sessions containing the event instead")
-    count.add_argument("--backend", default="serial",
-                       choices=BACKEND_NAMES,
-                       help="MapReduce execution backend (default serial)")
-    count.add_argument("--workers", type=int, default=None,
-                       help="worker count for the processes backend "
-                            "(default: min(8, cpu count))")
 
     funnel = add_parser("funnel", "run the signup funnel")
     funnel.add_argument("--client", default="web",
@@ -125,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'*:signup:*:*:*:*')")
     index.add_argument("--user", type=int, default=None,
                        help="query one user's events instead of a pattern")
-    index.add_argument("--backend", default="serial",
-                       choices=BACKEND_NAMES,
-                       help="MapReduce execution backend (default serial)")
-    index.add_argument("--workers", type=int, default=None,
-                       help="worker count for the processes backend")
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection soak asserting zero-loss/"
@@ -230,13 +218,9 @@ def cmd_count(args) -> int:
     t_seq, t_raw = JobTracker(), JobTracker()
     n_seq = count_events_sequences(simulation.warehouse, date,
                                    args.pattern, dictionary,
-                                   tracker=t_seq, mode=mode,
-                                   backend=args.backend,
-                                   max_workers=args.workers)
+                                   tracker=t_seq, mode=mode)
     n_raw = count_events_raw(simulation.warehouse, date, args.pattern,
-                             tracker=t_raw, mode=mode,
-                             backend=args.backend,
-                             max_workers=args.workers)
+                             tracker=t_raw, mode=mode)
     unit = "sessions containing" if args.sessions else "occurrences of"
     print(f"{n_seq} {unit} {args.pattern!r}")
     print(f"  sequences path: {t_seq.total_map_tasks()} mappers, "
@@ -489,15 +473,14 @@ def cmd_index(args) -> int:
             print(f"  {status:8s} {directory}")
         return 0
 
-    report = build_day_indexes(warehouse, *date, backend=args.backend,
-                               max_workers=args.workers)
+    report = build_day_indexes(warehouse, *date)
     print(f"built {report.hours_built} hour partition(s), "
           f"{report.splits_indexed} split(s) indexed, "
           f"{report.wall_time_s * 1000:.0f} ms")
     if args.action == "build":
         return 0
 
-    pig = PigServer(backend=args.backend, max_workers=args.workers)
+    pig = PigServer()
     loader = ClientEventsLoader(warehouse, *date)
     if args.user is not None:
         relation = pig.load(loader).filter(

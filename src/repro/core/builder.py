@@ -134,8 +134,7 @@ class SessionSequenceBuilder:
 
     # -- the full job ----------------------------------------------------
     def run(self, year: int, month: int, day: int,
-            engine: str = "direct", tracker=None,
-            backend=None, max_workers=None) -> BuildResult:
+            engine: str = "direct", tracker=None) -> BuildResult:
         """Execute both passes and materialize all artifacts on HDFS.
 
         ``engine='direct'`` runs in-process (fast, default).
@@ -144,15 +143,11 @@ class SessionSequenceBuilder:
         count, the session reconstruction as the paper's "large group-by
         across potentially terabytes of data" -- so the build's own
         mapper/shuffle footprint is measurable via ``tracker``.
-        ``backend`` / ``max_workers`` pick the engine execution backend
-        (``"serial"`` or ``"processes"``) for those jobs.
         """
         if engine not in ("direct", "mapreduce"):
             raise ValueError(f"unknown engine {engine!r}")
         if engine == "mapreduce":
-            return self._run_mapreduce(year, month, day, tracker,
-                                       backend=backend,
-                                       max_workers=max_workers)
+            return self._run_mapreduce(year, month, day, tracker)
         # One decode of the day feeds both passes.
         events = list(self.iter_day_events(year, month, day))
         counts, samples = self._histogram(events)
@@ -212,7 +207,7 @@ class SessionSequenceBuilder:
         )
 
     def _run_mapreduce(self, year: int, month: int, day: int,
-                       tracker, backend=None, max_workers=None) -> BuildResult:
+                       tracker) -> BuildResult:
         """Both passes as MR jobs (see :meth:`run`)."""
         from repro.hdfs.layout import day_path
         from repro.mapreduce.engine import run_job
@@ -237,8 +232,7 @@ class SessionSequenceBuilder:
         histogram_result = run_job(MapReduceJob(
             name="ce_histogram", input_format=histogram_input,
             mapper=_histogram_mapper, reducer=_sum_reducer,
-            combiner=_sum_reducer), tracker,
-            backend=backend, max_workers=max_workers)
+            combiner=_sum_reducer), tracker)
         counts = Counter(dict(histogram_result.output))
         __, samples = self.build_histogram(year, month, day)
         dictionary = EventDictionary.from_histogram(counts)
@@ -262,8 +256,7 @@ class SessionSequenceBuilder:
             mapper=_session_mapper,
             reducer=_SessionReducer(self._sessionizer.inactivity_gap_ms,
                                     dictionary),
-            num_reducers=8), tracker,
-            backend=backend, max_workers=max_workers)
+            num_reducers=8), tracker)
         records = sorted((record for __, record in session_result.output),
                          key=lambda r: (r.user_id, r.session_id))
 
@@ -319,9 +312,7 @@ class SessionSequenceBuilder:
                 yield record
 
 
-# MR callables of the build passes. Module-level (or instances of
-# module-level classes) so the jobs are picklable and can run on the
-# engine's ``processes`` backend.
+# MR callables of the build passes.
 
 
 def _histogram_mapper(event, ctx) -> None:
@@ -348,7 +339,7 @@ class _SessionReducer:
         self.dictionary = dictionary
 
     def __call__(self, key, events, ctx) -> None:
-        events.sort(key=_event_timestamp)
+        events.sort(key=lambda event: event.timestamp)
         current: list = []
         for event in events:
             if current and (event.timestamp - current[-1].timestamp
@@ -359,11 +350,6 @@ class _SessionReducer:
             current.append(event)
         if current:
             ctx.emit(key, _encode_session(key, current, self.dictionary))
-
-
-def _event_timestamp(event) -> int:
-    """Sort key of the pass-2 reducer (picklable, unlike a lambda)."""
-    return event.timestamp
 
 
 def _encode_session(key, events, dictionary) -> SessionSequenceRecord:

@@ -4,8 +4,8 @@
 as a Hadoop job"; here each warehouse hour directory
 (``/logs/<category>/YYYY/MM/DD/HH``) gets its own index *partition* built
 by the engine -- map tasks extract ``(field, term)`` pairs per split,
-reduce tasks merge postings -- so the ``processes`` backend
-parallelizes index construction exactly as it does queries.
+reduce tasks merge postings -- so the build's task, byte and shuffle
+counts are measured exactly as a query's are.
 
 A partition is two files under ``.../HH/_index/``:
 
@@ -68,8 +68,7 @@ _EVENT_FORMAT = ThriftFileFormat(ClientEvent)
 
 #: The warehouse default: multi-field indexing by event name (for
 #: CountClientEvents-style selective queries) and by user id (for
-#: per-user retrieval). Both extractors are module-level functions, so
-#: the build job survives pickling onto the ``processes`` backend.
+#: per-user retrieval).
 DEFAULT_EXTRACTORS: Dict[str, Callable[[Any], Iterable[str]]] = {
     "event": event_name_terms,
     "user": user_id_terms,
@@ -151,8 +150,6 @@ class DayIndexBuild:
 def build_hour_index(fs: HDFS, directory: str,
                      extractors: Optional[Dict[str, Callable]] = None,
                      tracker: Optional[Any] = None,
-                     backend: Optional[str] = None,
-                     max_workers: Optional[int] = None,
                      decode: Optional[Callable] = None,
                      built_at_ms: int = 0) -> Optional[HourPartition]:
     """Build (or rebuild) the index partition beside one data directory.
@@ -176,7 +173,7 @@ def build_hour_index(fs: HDFS, directory: str,
                      mapper=_ExtractTermsMapper(extractors),
                      combiner=_dedup_combiner,
                      reducer=_postings_reducer),
-        tracker, backend=backend, max_workers=max_workers)
+        tracker)
 
     postings: Dict[str, Dict[str, List[SplitKey]]] = {
         name: {} for name in extractors}
@@ -308,8 +305,6 @@ def build_day_indexes(fs: HDFS, year: int, month: int, day: int,
                       extractors: Optional[Dict[str, Callable]] = None,
                       force: bool = False,
                       tracker: Optional[Any] = None,
-                      backend: Optional[str] = None,
-                      max_workers: Optional[int] = None,
                       built_at_ms: int = 0) -> DayIndexBuild:
     """Incrementally (re)build the day's per-hour index partitions.
 
@@ -325,7 +320,6 @@ def build_day_indexes(fs: HDFS, year: int, month: int, day: int,
             continue
         partition = build_hour_index(
             fs, directory, extractors=extractors, tracker=tracker,
-            backend=backend, max_workers=max_workers,
             built_at_ms=built_at_ms)
         if partition is not None:
             report.built.append(directory)

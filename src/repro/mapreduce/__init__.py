@@ -1,12 +1,5 @@
-"""Simulated Hadoop MapReduce: jobs, splits, engine, backends, jobtracker."""
+"""Simulated Hadoop MapReduce: jobs, splits, engine, jobtracker."""
 
-from repro.mapreduce.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    prepare_backend,
-)
 from repro.mapreduce.counters import (
     Counters,
     GROUP_IO,
@@ -37,11 +30,6 @@ from repro.mapreduce.partition import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "prepare_backend",
     "serialize_key",
     "stable_hash",
     "stable_partition",

@@ -12,17 +12,12 @@ from collections import defaultdict
 from typing import Dict, Iterator, Tuple
 
 
-def _int_dict() -> "defaultdict[str, int]":
-    # Module-level factory (not a lambda) so Counters pickles: parallel
-    # backends ship per-task counters back across process boundaries.
-    return defaultdict(int)
-
-
 class Counters:
     """Nested (group, name) -> int counters."""
 
     def __init__(self) -> None:
-        self._counts: Dict[str, Dict[str, int]] = defaultdict(_int_dict)
+        self._counts: Dict[str, Dict[str, int]] = defaultdict(
+            lambda: defaultdict(int))
 
     def increment(self, group: str, name: str, amount: int = 1) -> None:
         """Add ``amount`` to one (group, name) counter."""

@@ -110,19 +110,9 @@ class FileInputFormat:
         return records[start:end]
 
     def _records_of(self, path: str) -> List[Any]:
-        # Threads that miss together both decode and store equal lists:
-        # the race can cost a duplicate decode, never a wrong row.
         if path not in self._cache:
             self._cache[path] = self.decode(self.fs.open_bytes(path))
         return self._cache[path]
-
-    def __getstate__(self) -> dict:
-        # Decoded-record caches stay process-local: shipping them to
-        # pool workers would dwarf the job payload, and workers rebuild
-        # exactly the entries their splits touch.
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
 
 @dataclass(frozen=True)

@@ -72,33 +72,18 @@ class JobRun:
     shuffle_records: int
     shuffle_bytes: int
     simulated_ms: float
-    #: Execution backend the engine actually used (after any fallback).
-    backend: str = "serial"
-    #: Worker-pool size the engine ran with.
-    workers: int = 1
     #: Real (not simulated) wall-clock execution time of the job.
     wall_time_s: float = 0.0
 
 
 class JobTracker:
-    """Accumulates :class:`JobRun` entries across a benchmark session.
+    """Accumulates :class:`JobRun` entries across a benchmark session."""
 
-    ``backend`` / ``max_workers`` set the default execution backend for
-    every job run against this tracker; ``run_job`` arguments override
-    them per job.  Simulated-latency accounting depends only on counter
-    totals, so it is identical across backends by construction.
-    """
-
-    def __init__(self, cost_model: Optional[CostModel] = None,
-                 backend: str = "serial",
-                 max_workers: Optional[int] = None) -> None:
+    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model or CostModel()
-        self.backend = backend
-        self.max_workers = max_workers
         self.runs: List[JobRun] = []
 
     def record(self, job_name: str, counters: Counters,
-               backend: str = "serial", workers: int = 1,
                wall_time_s: float = 0.0) -> JobRun:
         """Record one finished job's counters as a :class:`JobRun`."""
         from repro.mapreduce.counters import (
@@ -115,8 +100,6 @@ class JobTracker:
             shuffle_records=counters.get(GROUP_IO, SHUFFLE_RECORDS),
             shuffle_bytes=counters.get(GROUP_IO, SHUFFLE_BYTES),
             simulated_ms=self.cost_model.simulated_ms(counters),
-            backend=backend,
-            workers=workers,
             wall_time_s=wall_time_s,
         )
         self.runs.append(run)

@@ -3,8 +3,7 @@
 The engine originally used ``hash(key) % num_reducers``.  For strings
 (and anything containing them) :func:`hash` is salted per interpreter by
 ``PYTHONHASHSEED``, so partition assignment -- and therefore output
-order and any per-partition accounting -- changed between runs, and
-would disagree *between worker processes* of a parallel backend.  This
+order and any per-partition accounting -- changed between runs.  This
 module replaces it with a content-defined scheme: keys are serialized to
 a canonical byte string and hashed with ``zlib.crc32``, which depends
 only on the key's value.  The same key lands on the same partition in

@@ -87,8 +87,6 @@ MAPREDUCE_JOBS = "mapreduce_jobs_total"
 MAPREDUCE_JOB_WALL_TIME = "mapreduce_job_wall_time_seconds"
 MAPREDUCE_COUNTER_PREFIX = "mapreduce_"
 MAPREDUCE_TASK_WALL_TIME = "mapreduce_task_wall_time_seconds"
-MAPREDUCE_TASK_QUEUE_WAIT = "mapreduce_task_queue_wait_seconds"
-MAPREDUCE_WORKERS = "mapreduce_workers"
 
 # -- elephant twin (selective-query index layer) --------------------------
 ELEPHANTTWIN_SPLITS_SKIPPED = "elephanttwin_splits_skipped_total"

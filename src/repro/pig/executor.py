@@ -12,11 +12,6 @@ Compilation follows Pig's MR compiler shape:
 Intermediate relations feed the next job through
 :class:`InMemoryInputFormat` (standing in for the temporary HDFS files
 real Pig writes between jobs).
-
-Mappers and reducers are module-level callables (not closures) so that
-compiled jobs can run on the engine's ``processes`` backend whenever the
-script's own row functions are picklable; scripts built from lambdas
-still work everywhere else and simply run serial.
 """
 
 from __future__ import annotations
@@ -48,25 +43,12 @@ class PlanError(Exception):
 
 
 class PlanExecutor:
-    """Executes one logical plan against the MR engine.
-
-    ``backend`` / ``max_workers`` select the engine execution backend
-    for every compiled job; None defers to the tracker's default.
-    """
+    """Executes one logical plan against the MR engine."""
 
     def __init__(self, tracker: JobTracker,
-                 intermediate_records_per_split: int = 10_000,
-                 backend: Optional[str] = None,
-                 max_workers: Optional[int] = None) -> None:
+                 intermediate_records_per_split: int = 10_000) -> None:
         self._tracker = tracker
         self._per_split = intermediate_records_per_split
-        self._backend = backend
-        self._max_workers = max_workers
-
-    def _run_job(self, job: MapReduceJob):
-        """Run one compiled job on the configured backend."""
-        return run_job(job, self._tracker, backend=self._backend,
-                       max_workers=self._max_workers)
 
     # -- public -----------------------------------------------------------
     def execute(self, node: Any) -> List[Any]:
@@ -232,7 +214,7 @@ class PlanExecutor:
         job = MapReduceJob(name=node.description, input_format=input_format,
                            mapper=mapper, reducer=reducer,
                            num_reducers=num_reducers)
-        result = self._run_job(job)
+        result = run_job(job, self._tracker)
         return [value for __, value in result.output]
 
     def _run_join(self, node: JoinNode) -> List[Any]:
@@ -244,7 +226,7 @@ class PlanExecutor:
                              node.left_key, node.right_key)
         job = MapReduceJob(name=node.description, input_format=union,
                            mapper=mapper, reducer=_join_reducer)
-        result = self._run_job(job)
+        result = run_job(job, self._tracker)
         return [value for __, value in result.output]
 
     def _run_map_only(self, name: str, rows: List[Any],
@@ -258,7 +240,7 @@ class PlanExecutor:
         mapper = _MapOnlyMapper(_FusedTransform(map_ops))
         job = MapReduceJob(name=name, input_format=input_format,
                            mapper=mapper, reducer=None)
-        result = self._run_job(job)
+        result = run_job(job, self._tracker)
         return [value for __, value in result.output]
 
 
@@ -288,11 +270,7 @@ class _TaggedUnionInputFormat:
 
 
 class _FusedTransform:
-    """Picklable fusion of a map-side operator chain into one transform.
-
-    (A class rather than a closure so compiled mappers can cross process
-    boundaries when the plan's row functions are themselves picklable.)
-    """
+    """Fusion of a map-side operator chain into one transform."""
 
     def __init__(self, map_ops: List[Any]) -> None:
         self.map_ops = list(map_ops)

@@ -120,23 +120,14 @@ class PigRelation:
 
 
 class PigServer:
-    """Entry point owning the executor and its jobtracker.
-
-    ``backend`` / ``max_workers`` select the MapReduce execution backend
-    (``"serial"`` or ``"processes"``) for every job the server's plans
-    compile into; None defers to the tracker's default.
-    """
+    """Entry point owning the executor and its jobtracker."""
 
     def __init__(self, tracker: Optional[Any] = None,
-                 intermediate_records_per_split: int = 10_000,
-                 backend: Optional[str] = None,
-                 max_workers: Optional[int] = None) -> None:
+                 intermediate_records_per_split: int = 10_000) -> None:
         from repro.mapreduce.jobtracker import JobTracker
 
         self.tracker = tracker or JobTracker()
         self._per_split = intermediate_records_per_split
-        self._backend = backend
-        self._max_workers = max_workers
 
     def load(self, loader: Any) -> PigRelation:
         """LOAD ... USING loader."""
@@ -152,7 +143,4 @@ class PigServer:
         """Execute a plan node through a fresh executor."""
         from repro.pig.executor import PlanExecutor
 
-        executor = PlanExecutor(self.tracker, self._per_split,
-                                backend=self._backend,
-                                max_workers=self._max_workers)
-        return executor.execute(node)
+        return PlanExecutor(self.tracker, self._per_split).execute(node)

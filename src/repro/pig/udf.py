@@ -32,8 +32,7 @@ class EventNameFilter(EvalFunc):
 
     Carries an ``index_lookup`` hint -- ``("event", pattern)`` -- so the
     plan executor can push the selection down to an Elephant Twin index
-    when one covers the loaded data. Picklable (pattern re-compiled on
-    unpickle) so filtered plans run on the ``processes`` backend.
+    when one covers the loaded data.
     """
 
     #: Columns this predicate reads (projection-pruning declaration).
@@ -53,17 +52,6 @@ class EventNameFilter(EvalFunc):
     def exec(self, row: Any) -> bool:  # noqa: A003 - Pig's name
         """True when the row's event name matches the pattern."""
         return self._matcher.matches(row.event_name)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_matcher"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        from repro.core.names import EventPattern
-
-        self.__dict__.update(state)
-        self._matcher = EventPattern(self.pattern)
 
 
 class UserEventsFilter(EvalFunc):

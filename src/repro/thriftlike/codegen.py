@@ -91,15 +91,6 @@ class ThriftFileFormat:
         """Lazily deserialize framed bytes to records."""
         return self._read(data)
 
-    # The derived reader/writer are closures, so pickle by construction
-    # arguments instead -- input formats built on this must cross
-    # process boundaries for the parallel MapReduce backend.
-    def __getstate__(self) -> dict:
-        return {"struct_cls": self.struct_cls, "protocol": self.protocol}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["struct_cls"], state["protocol"])
-
     def __repr__(self) -> str:
         return (f"ThriftFileFormat({self.struct_cls.__name__}, "
                 f"protocol={self.protocol!r})")

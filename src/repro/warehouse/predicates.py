@@ -4,8 +4,7 @@ These are *hints*, never filters: a predicate may only prune a block it
 can prove empty; every surviving block's rows still flow through the
 query's own row-level filters, so a too-weak predicate costs speed but
 never correctness (the same contract Elephant Twin's index pruning
-keeps at the split level). All predicate classes are frozen dataclasses
-so they pickle cleanly into process-pool workers.
+keeps at the split level).
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ class EventPatternPredicate:
     the expansion in hand it behaves like :class:`InPredicate`; without
     one (high-cardinality column) it abstains. Expansion uses the event
     grammar's matcher, so pushdown agrees exactly with the row filter it
-    rides along (``EventNameFilter``). Picklable: the compiled matcher is
-    rebuilt on unpickle.
+    rides along (``EventNameFilter``).
     """
 
     def __init__(self, pattern: str, column: str = "event_name") -> None:
@@ -92,17 +90,6 @@ class EventPatternPredicate:
         if terms is None:
             return True
         return any(zone.might_contain(t) for t in terms)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_matcher"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        from repro.core.names import EventPattern
-
-        self.__dict__.update(state)
-        self._matcher = EventPattern(self.pattern)
 
     def __repr__(self) -> str:
         return (f"EventPatternPredicate({self.pattern!r}, "

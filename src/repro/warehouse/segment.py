@@ -151,9 +151,7 @@ class ColumnMeta:
 class ColumnarSegment:
     """A committed segment: manifest plus lazily-decoded column blocks.
 
-    Decoded blocks and raw column files are cached per process; caches
-    are dropped on pickling so shipping a segment into a worker ships
-    metadata, not decoded data.
+    Decoded blocks and raw column files are cached on the segment.
     """
 
     def __init__(self, fs: HDFS, directory: str, manifest: dict) -> None:
@@ -175,12 +173,6 @@ class ColumnarSegment:
                 values=meta.get("values"))
         self._file_cache: Dict[str, bytes] = {}
         self._block_cache: Dict[Tuple[str, int], list] = {}
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_file_cache"] = {}
-        state["_block_cache"] = {}
-        return state
 
     @classmethod
     def load(cls, fs: HDFS, hour_dir: str) -> Optional["ColumnarSegment"]:

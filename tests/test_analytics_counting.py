@@ -1,11 +1,14 @@
 """Event-counting UDF and script tests (§5.2)."""
 
+import multiprocessing.process
+
 import pytest
 
 from repro.analytics.counting import (
     CountClientEvents,
     SessionsWithEvent,
     count_events_raw,
+    count_events_selective,
     count_events_sequences,
 )
 from repro.core.dictionary import EventDictionary
@@ -185,3 +188,33 @@ class TestDemographicSubsetting:
                            user_filter=lambda r: r.user_id in uk_users)
         assert joined_ctr.impressions == filtered_ctr.impressions
         assert joined_ctr.actions == filtered_ctr.actions
+
+
+class TestBackendNames:
+    """The counting queries keep accepting ``backend=`` / ``max_workers=``:
+    every accepted name runs the engine's one in-process task loop."""
+
+    def test_processes_gives_the_serial_answer_in_process(
+            self, warehouse, dictionary, date, monkeypatch):
+        pattern = "*:impression"
+        queries = (
+            lambda **kw: count_events_raw(warehouse, date, pattern, **kw),
+            lambda **kw: count_events_selective(warehouse, date, pattern,
+                                                **kw),
+            lambda **kw: count_events_sequences(warehouse, date, pattern,
+                                                dictionary, **kw),
+        )
+        serial = [query() for query in queries]
+        assert all(serial)
+
+        def no_child(process):
+            raise AssertionError(f"child process started: {process!r}")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_child)
+        assert [query(backend="processes", max_workers=2)
+                for query in queries] == serial
+        for query in queries:
+            for name in ("threads", "procesess"):
+                with pytest.raises(ValueError, match="unknown backend"):
+                    query(backend=name)

@@ -8,7 +8,6 @@ own mini warehouse -- the shared session fixtures are never mutated.
 """
 
 import logging
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -434,23 +433,7 @@ class TestExecutorPushdown:
 
 
 class TestBuildBackends:
-    """The build is a real MR job: the processes backend gives identical
-    partitions."""
-
-    def test_serial_processes_parity(self):
-        # Uncompressed, so the hour has more splits than run inline.
-        serial_fs = _mini_world(codec="none", hours=(3, 4))
-        processes_fs = _mini_world(codec="none", hours=(3, 4))
-        directory = _hour(3).path()
-        a = build_hour_index(serial_fs, directory, backend="serial")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no fallback to serial
-            b = build_hour_index(processes_fs, directory,
-                                 backend="processes", max_workers=2)
-        assert a.manifest.files == b.manifest.files
-        assert a.fields.keys() == b.fields.keys()
-        for name in a.fields:
-            assert a.fields[name].postings == b.fields[name].postings
+    """The build is a real MR job writing one partition per hour."""
 
     def test_multi_field_partitions(self):
         fs = _mini_world(hours=(3,))

@@ -1,23 +1,19 @@
-"""Parallel execution backends: parity, stability, fallback, metrics.
+"""The engine's one task loop: stable partitioning and per-task metrics.
 
-The engine's contract is that ``serial`` and ``processes`` produce
-byte-identical results: same output, same counter totals, same tracker
-accounting. These tests pin that contract, plus the
-hash-seed-independent partitioner and the closure->serial fallback.
+Partitioning is content-stable, never ``hash()``-salted, so the output
+(order included) and counter totals repeat exactly across runs and
+``PYTHONHASHSEED`` values; every task's wall time lands in the registry.
 """
 
 import os
 import subprocess
 import sys
-import warnings
 
 import pytest
 
-from repro.mapreduce.backends import default_worker_count
-from repro.mapreduce.engine import BACKEND_NAMES, prepare_backend, run_job
+from repro.mapreduce.engine import run_job
 from repro.mapreduce.inputformats import InMemoryInputFormat
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.jobtracker import JobTracker
 from repro.mapreduce.partition import serialize_key, stable_partition
 from repro.obs import names as obs_names
 from repro.obs.metrics import MetricsRegistry, set_default_registry
@@ -29,120 +25,35 @@ RECORDS = [" ".join(WORDS[i % len(WORDS)] for i in range(j, j + 7))
 
 
 def wc_mapper(record, ctx):
-    """Emit (word, 1) per word; module-level so it pickles."""
+    """Emit (word, 1) per word."""
     for word in record.split():
         ctx.emit(word, 1)
 
 
 def sum_reducer(key, values, ctx):
-    """Sum the values of one key; module-level so it pickles."""
+    """Sum the values of one key."""
     ctx.emit(key, sum(values))
 
 
 def upper_mapper(record, ctx):
-    """Map-only transform; module-level so it pickles."""
+    """Map-only transform."""
     ctx.emit(None, record.upper())
 
 
-def _wc_job(**kwargs):
+def _wc_job():
     return MapReduceJob(name="wc",
                         input_format=InMemoryInputFormat(RECORDS, 10),
-                        mapper=wc_mapper, reducer=sum_reducer, **kwargs)
+                        mapper=wc_mapper, reducer=sum_reducer)
 
 
-def _run(job, backend):
-    tracker = JobTracker()
-    result = run_job(job, tracker, backend=backend, max_workers=4)
-    return result, tracker
-
-
-class TestBackendParity:
-    def test_output_and_counters_identical(self):
-        baseline, base_tracker = _run(_wc_job(), "serial")
-        result, tracker = _run(_wc_job(), "processes")
-        assert result.output == baseline.output  # exact order too
-        assert result.counters.as_dict() == baseline.counters.as_dict()
-        assert (tracker.runs[0].simulated_ms
-                == base_tracker.runs[0].simulated_ms)
-        assert tracker.runs[0].backend == "processes"
-
-    def test_combiner_parity(self):
-        baseline, __ = _run(_wc_job(combiner=sum_reducer), "serial")
-        result, __ = _run(_wc_job(combiner=sum_reducer), "processes")
-        assert result.output == baseline.output
-        assert result.counters.as_dict() == baseline.counters.as_dict()
-
-    def test_map_only_parity(self):
-        def job():
-            return MapReduceJob(name="upper",
-                                input_format=InMemoryInputFormat(RECORDS, 9),
-                                mapper=upper_mapper, reducer=None)
-
-        baseline, __ = _run(job(), "serial")
-        assert [v for __, v in baseline.output] == [r.upper()
-                                                    for r in RECORDS]
-        result, __ = _run(job(), "processes")
-        assert result.output == baseline.output
-
-    def test_tracker_default_backend_applies(self):
-        tracker = JobTracker(backend="processes", max_workers=3)
-        run_job(_wc_job(), tracker)
-        assert tracker.runs[0].backend == "processes"
-        assert tracker.runs[0].workers == 3
-
-    def test_unknown_backend_rejected(self):
-        for name in ("gpu", "threads"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                run_job(_wc_job(), backend=name)
-        assert BACKEND_NAMES == ("serial", "processes")
-
-    def test_default_worker_count_bounded(self):
-        assert 1 <= default_worker_count() <= 8
-
-
-class TestSmallPhaseInline:
-    """Phases at or under the inline threshold skip pool dispatch but
-    keep the backend's name and exact accounting."""
-
-    @staticmethod
-    def _small_job():
-        # 3 splits: under INLINE_PHASE_TASKS, so the map phase (and the
-        # 4-partition reduce phase) run inline on the pooled backend.
-        return MapReduceJob(name="wc_small",
-                            input_format=InMemoryInputFormat(RECORDS, 40),
-                            mapper=wc_mapper, reducer=sum_reducer)
-
-    def test_inline_matches_serial_and_keeps_name(self):
-        baseline, __ = _run(self._small_job(), "serial")
-        result, tracker = _run(self._small_job(), "processes")
-        assert result.output == baseline.output
-        assert result.counters.as_dict() == baseline.counters.as_dict()
-        assert tracker.runs[0].backend == "processes"
-
-
-class TestProcessFallback:
-    def test_closure_job_falls_back_to_serial(self):
-        captured = {}
-
-        def mapper(record, ctx):  # a closure: not picklable
-            captured["seen"] = True
-            wc_mapper(record, ctx)
-
-        job = MapReduceJob(name="closure_wc",
-                           input_format=InMemoryInputFormat(RECORDS, 10),
-                           mapper=mapper, reducer=sum_reducer)
-        tracker = JobTracker()
-        with pytest.warns(RuntimeWarning, match="falling back to 'serial'"):
-            result = run_job(job, tracker, backend="processes")
-        baseline, __ = _run(_wc_job(), "serial")
-        assert result.output == baseline.output
-        assert tracker.runs[0].backend == "serial"
-
-    def test_picklable_job_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with prepare_backend(_wc_job(), "processes", 2) as backend:
-                assert backend.name == "processes"
+class TestMapOnly:
+    def test_map_only_output_in_record_order(self):
+        job = MapReduceJob(name="upper",
+                           input_format=InMemoryInputFormat(RECORDS, 9),
+                           mapper=upper_mapper, reducer=None)
+        result = run_job(job)
+        assert [v for __, v in result.output] == [r.upper()
+                                                  for r in RECORDS]
 
 
 class TestStablePartitioning:
@@ -191,12 +102,11 @@ class TestStablePartitioning:
 
     def test_engine_output_stable_across_hash_seeds(self):
         """End to end: the full word-count output (including order) is
-        identical under different hash seeds and backends."""
+        identical under different hash seeds."""
         script = (
-            "from tests.test_mapreduce_backends import _wc_job, _run\n"
-            "for backend in ('serial', 'processes'):\n"
-            "    result, __ = _run(_wc_job(), backend)\n"
-            "    print(result.output)\n"
+            "from repro.mapreduce.engine import run_job\n"
+            "from tests.test_mapreduce_backends import _wc_job\n"
+            "print(run_job(_wc_job()).output)\n"
         )
         outputs = set()
         for seed in ("1", "77"):
@@ -211,11 +121,11 @@ class TestStablePartitioning:
 
 
 class TestTaskMetrics:
-    def test_per_task_histograms_and_worker_gauge(self):
+    def test_per_task_wall_time_histograms(self):
         registry = MetricsRegistry()
         old = set_default_registry(registry)
         try:
-            result, __ = _run(_wc_job(), "processes")
+            result = run_job(_wc_job())
         finally:
             set_default_registry(old)
         splits = result.counters.get("task", "map_tasks")
@@ -227,10 +137,4 @@ class TestTaskMetrics:
                                          job="wc", phase="reduce")
         assert map_hist.count == splits
         assert reduce_hist.count == reducers
-        wait_hist = registry.histogram(obs_names.MAPREDUCE_TASK_QUEUE_WAIT,
-                                       job="wc", phase="map")
-        assert wait_hist.count == splits
-        assert all(v >= 0.0 for v in wait_hist.values())
-        gauge = registry.gauge(obs_names.MAPREDUCE_WORKERS, job="wc",
-                               backend="processes")
-        assert gauge.value == 4
+        assert all(v >= 0.0 for v in map_hist.values())

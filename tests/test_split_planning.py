@@ -3,12 +3,10 @@
 Hadoop answers ``getSplits()`` from namenode metadata alone. These tests
 pin the same contract here: no ``splits()`` opens or decodes a data
 file, a query decodes exactly the raw files whose splits survive index
-and segment pruning, the one record division (``split_record_range``)
-means the same rows to ``read_split`` and to a segment's recording, and
-the plan is picklable and backend-independent.
+and segment pruning, and the one record division
+(``split_record_range``) means the same rows to ``read_split`` and to a
+segment's recording.
 """
-
-import pickle
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,13 +24,11 @@ from repro.hdfs.layout import (
     millis_for_hour,
 )
 from repro.hdfs.namenode import HDFS
-from repro.mapreduce.engine import run_job
 from repro.mapreduce.inputformats import (
     ColumnarInputFormat,
     FileInputFormat,
     split_record_range,
 )
-from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.jobtracker import JobTracker
 from repro.pig.loaders import ClientEventsLoader
 from repro.thriftlike.codegen import ThriftFileFormat
@@ -66,7 +62,7 @@ class TracingHDFS(HDFS):
 
 
 class CountingDecode:
-    """Event decoder that counts its calls (a class, so it pickles)."""
+    """Event decoder that counts its calls."""
 
     def __init__(self) -> None:
         self.calls = 0
@@ -259,36 +255,3 @@ class TestOneRecordDivision:
         assert split_record_range(2, 5, 4) == (2, 2)  # more splits than rows
         assert split_record_range(10, 3, 2) == (8, 10)
         assert split_record_range(7, 0, 0) == (0, 7)  # clamped to one split
-
-
-def _name_mapper(event, ctx):
-    ctx.emit(event.event_name, 1)
-
-
-def _sum_reducer(key, values, ctx):
-    ctx.emit(key, sum(values))
-
-
-class TestPlanShipsToWorkers:
-    """(d) splits pickle; every backend reads the same plan alike."""
-
-    def test_backends_agree_and_parent_holds_no_records(self):
-        fs = _world(index=False, segments=False, codec="none",
-                    block_size=256)
-        paths = data_files(fs, "/logs")
-        results = {}
-        for backend in ("serial", "processes"):
-            fmt = FileInputFormat(fs, paths, _FMT.decode)
-            splits = fmt.splits()
-            assert pickle.loads(pickle.dumps(splits)) == splits
-            tracker = JobTracker()
-            result = run_job(
-                MapReduceJob(name="names", input_format=fmt,
-                             mapper=_name_mapper, reducer=_sum_reducer),
-                tracker, backend=backend, max_workers=2)
-            assert tracker.runs[0].backend == backend
-            results[backend] = (result.output, result.counters.as_dict())
-            if backend == "processes":
-                assert fmt._cache == {}
-        assert results["processes"] == results["serial"]
-        assert dict(results["serial"][0]) == {COMMON: 117, RARE: 3}

@@ -4,9 +4,9 @@ Property tests pin each block encoding's round-trip over its full value
 domain (negative and 64-bit ints, non-BMP strings, nulls, empty blocks)
 and the zone maps' no-false-negative contract; integration tests pin
 the invariant the whole subsystem hangs on -- a columnar scan returns
-byte-identical rows to the raw row scan, across all three execution
-backends, composed with Elephant Twin split pruning, and degrading
-safely when segments are stale or half-written.
+byte-identical rows to the raw row scan, composed with Elephant Twin
+split pruning, and degrading safely when segments are stale or
+half-written.
 """
 
 import json
@@ -333,15 +333,6 @@ class TestSegmentRoundTrip:
         with pytest.raises(AttributeError):
             clone.ip  # noqa: B018
 
-    def test_segment_pickle_drops_caches(self):
-        fs = _mini_world(hours=(3,))
-        segment = compact_hour(fs, _hour(3).path())
-        segment.column_block("event_name", 0)
-        assert segment._block_cache
-        clone = pickle.loads(pickle.dumps(segment))
-        assert clone._block_cache == {} and clone._file_cache == {}
-        assert clone.rows == segment.rows
-
     def test_late_file_turns_segment_stale(self):
         fs = _mini_world(hours=(3,))
         directory = _hour(3).path()
@@ -442,7 +433,7 @@ class TestLayoutFiltering:
 
 
 # ---------------------------------------------------------------------------
-# Scan parity: columnar vs raw, across backends, with pruning.
+# Scan parity: columnar vs raw, with pruning.
 # ---------------------------------------------------------------------------
 
 
@@ -498,19 +489,6 @@ class TestScanParity:
         assert rows == _all_rows(loader.input_format())
         assert fmt.raw_splits > 0  # hour 4 scanned raw
         assert fmt.columnar_splits > 0  # hour 3 still vectorized
-
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_backend_parity(self, backend):
-        from repro.analytics.counting import count_events_raw
-
-        fs = _mini_world(hours=(3, 4), events_per_hour=60)
-        baseline = count_events_raw(fs, CDATE, RARE_PATTERN)
-        build_day_segments(fs, *CDATE, block_rows=10)
-        tracker = JobTracker()
-        count = count_events_raw(fs, CDATE, RARE_PATTERN, tracker=tracker,
-                                 backend=backend, max_workers=4)
-        assert count == baseline > 0
-        assert tracker.runs[0].backend == backend
 
     def test_projection_reduces_decoded_bytes(self):
         fs = _mini_world(hours=(3, 4), events_per_hour=60)
